@@ -10,7 +10,7 @@ The only subtlety worth stating: cluster sets are keyed by sorted tuples
 of label ids, and the id numbering comes from the first tree's pre-order
 enumeration, so the same ids dictionary must be threaded through both
 trees of a comparison.  Unary chains would collapse duplicate clusters
-into one key; none of the inputs here contain them.
+into one key; the strict parser rejects them.
 """
 
 from dataclasses import dataclass

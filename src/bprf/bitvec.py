@@ -52,10 +52,9 @@ class BitVector:
         m = int(arr.size)
         self.n_bits = m
 
-        self._packed = np.packbits(arr) if m else np.zeros(0, np.uint8)
-        pad = (-self._packed.size) % 8
-        padded = np.concatenate([self._packed, np.zeros(pad, np.uint8)]) if pad else self._packed
-        words = np.frombuffer(padded.tobytes(), dtype=">u8").astype(np.uint64)
+        self._payload = np.packbits(arr).tobytes()
+        pad = bytes(-len(self._payload) % 8)
+        words = np.frombuffer(self._payload + pad, dtype=">u8").astype(np.uint64)
         nwords = len(words)
 
         # Geometry: blocks of `bw` words, superblocks of 16 blocks.  16-bit
@@ -117,12 +116,14 @@ class BitVector:
 
     def to01(self):
         """The payload as a uint8 array of 0/1 values."""
-        return np.unpackbits(self._packed)[: self.n_bits]
+        packed = np.frombuffer(self._payload, np.uint8)
+        return np.unpackbits(packed)[: self.n_bits]
 
     @property
     def packed_bytes(self) -> bytes:
-        """Payload packed MSB-first, position 1 in the high bit of byte 0."""
-        return self._packed.tobytes()
+        """Payload packed MSB-first, position 1 in the high bit of byte 0;
+        the object the vector holds, not a copy."""
+        return self._payload
 
     # ------------------------------------------------------------------
     # rank

@@ -12,9 +12,21 @@ in-block scans, per-block minima at the leaves of a flat segment tree for
 the rest.  The searches used here (matching parenthesis, encloser, range
 minimum) all look for the first crossing of a target value, and since the
 excess walk moves in unit steps the first block whose minimum reaches the
-target must contain that crossing.  The root needs no search: it closes at
-the last bit and is every node's ancestor.
+target must contain that crossing; a block whose minimum stays above the
+target is passed over without a scan.  The root needs no search: it closes
+at the last bit and is every node's ancestor.
+
+A top index lists, level by level, where the nodes of the first few levels
+open and close: at most 16 levels and one node in 128.  find_close reads a
+top node's answer from it, and lca walks down it with one bisection per
+level for as long as one node holds both positions.  Folds over unrelated
+trees climb to these few high nodes, so most of the distance sweep's tree-2
+queries end there.  Below the top, lca needs only the least excess between
+its two positions, not where it lies: the ancestor is the nearest node
+opening before the left position at that depth.
 """
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -45,6 +57,12 @@ for _b in range(256):
         _BYTE_LAST[_k] = _j
     _BYTE_EXC.append(_e)
     _BYTE_MIN.append(_mn)
+
+
+# The top index takes levels from the root down while they hold no more
+# than one node in _TOP_SHARE together, and _TOP_DEPTH levels at most.
+_TOP_DEPTH = 16
+_TOP_SHARE = 128
 
 
 class BpTree:
@@ -84,6 +102,22 @@ class BpTree:
         self._p2 = p2
         self._seg = seg.tolist()
 
+        # top index: per depth 2..D, the opening and closing positions of
+        # that level's nodes, both ascending; a closing bit leaves the
+        # excess one below its node's depth
+        is_open = arr.astype(bool)
+        per_depth = np.cumsum(np.bincount(cum[is_open]))
+        top = max(1, self.n_nodes // _TOP_SHARE)
+        depth = min(_TOP_DEPTH, int(np.searchsorted(per_depth, top, "right")) - 1)
+        opens = np.flatnonzero(is_open & (cum <= depth)) + 1
+        closes = np.flatnonzero(~is_open & (cum < depth)) + 1
+        odep = cum[opens - 1]
+        cdep = cum[closes - 1] + 1
+        self._top = [(opens[odep == d].tolist(), closes[cdep == d].tolist())
+                     for d in range(2, depth + 1)]
+        self._top_close = {o: c for os_, cs in self._top
+                           for o, c in zip(os_, cs)}
+
     # ------------------------------------------------------------------
     # basics
 
@@ -122,6 +156,9 @@ class BpTree:
             return p + 1
         if p == 1:
             return self.n_bits  # the sequence is one root's subtree
+        c = self._top_close.get(p)
+        if c is not None:
+            return c
         e = self.excess(p)
         return self._fwd_excess(p, e, e - 1)
 
@@ -184,13 +221,31 @@ class BpTree:
 
     def lca(self, p: int, q: int) -> int:
         """Opening position of the lowest common ancestor of two nodes."""
+        by = self._bytes
+        m = self.n_bits
+        if not (0 < p <= m and 0 < q <= m
+                and (by[(p - 1) >> 3] >> (7 - ((p - 1) & 7))) & 1
+                and (by[(q - 1) >> 3] >> (7 - ((q - 1) & 7))) & 1):
+            raise ValueError(f"lca needs two opening positions, got {p}, {q}")
         if p == q:
             return p
         if p > q:
             p, q = q, p
-        if p == 1 and q <= self.n_bits:
+        if p == 1:
             return 1  # the root is every node's ancestor
-        return self.enclose(self.rmq(p, q) + 1)
+        # walk down the top levels: at each, p's ancestor is the last node
+        # opening at or before p, and it holds q too while it closes after q
+        anc = 1
+        for opens, closes in self._top:
+            i = bisect_right(opens, p) - 1
+            if i < 0 or closes[i] < q:
+                return anc
+            anc = opens[i]
+        # the lca is the nearest node opening before p at the least excess
+        # over [p..q]; every position from its opening to p lies inside it,
+        # so the backward search for that depth minus one starts at p
+        low = self._min_excess(p, q)
+        return self._bwd_excess(p, self.excess(p - 1), low - 1) + 1
 
     def cluster_size(self, p: int) -> int:
         """Number of nodes in the subtree rooted at p."""
@@ -201,9 +256,11 @@ class BpTree:
         return self.bits.rank10(self.find_close(p)) - self.bits.rank10(p)
 
     def support_bits(self) -> int:
-        """Directory overhead in bits: bit-vector directories plus the
-        32-bit-per-entry block-minimum tree."""
-        return self.bits.support_bits() + 32 * len(self._seg)
+        """Directory overhead in bits: bit-vector directories, the
+        32-bit-per-entry block-minimum tree and the top index, 32 bits for
+        each node's opening and for its closing position."""
+        return (self.bits.support_bits() + 32 * len(self._seg)
+                + 64 * len(self._top_close))
 
     # ------------------------------------------------------------------
     # excess searches
@@ -227,6 +284,8 @@ class BpTree:
                     return q
         bsize = self._bsize
         blk_end = min(m, (q // bsize + 1) * bsize)
+        if self._seg[self._p2 + q // bsize] > target:
+            blk_end = q  # the block never reaches target: no scan
         while True:
             while q + 8 <= blk_end:
                 byte = by[q >> 3]
@@ -264,8 +323,12 @@ class BpTree:
         if e == target:
             return q
         bsize = self._bsize
+        seg = self._seg
+        p2 = self._p2
         while True:
             blk_start = ((q - 1) // bsize) * bsize if q else 0
+            if q and seg[p2 + (q - 1) // bsize] > target:
+                q = blk_start  # the block never reaches target: skip it
             while q > blk_start:
                 byte = by[(q >> 3) - 1]
                 tot = _BYTE_EXC[byte]
@@ -311,6 +374,19 @@ class BpTree:
             if e < best_v:
                 best_v, best_p = e, q
         return best_v, best_p
+
+    def _min_excess(self, l, r):
+        """Least excess over positions [l..r]: rmq's value, not its place."""
+        bsize = self._bsize
+        bl = (l - 1) // bsize
+        br = (r - 1) // bsize
+        if bl == br:
+            return self._scan_min(l, r)[0]
+        low = min(self._scan_min(l, (bl + 1) * bsize)[0],
+                  self._scan_min(br * bsize + 1, r)[0])
+        if br > bl + 1:
+            low = min(low, self._seg_range_min(bl + 1, br - 1)[0])
+        return low
 
     def _scan_first(self, b, v):
         """Leftmost position in block b with excess == v."""

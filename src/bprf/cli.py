@@ -355,7 +355,9 @@ def build_parser():
     d.add_argument("--metric", choices=("rf", "erf", "wrf", "werf"),
                    default="rf")
     d.add_argument("--algo", choices=("postorder", "nextsibling", "day"),
-                   default="postorder")
+                   default="postorder",
+                   help="postorder and nextsibling name the same sweep; "
+                        "day is the baseline, rf only")
     d.add_argument("--raw", action="store_true",
                    help="print the symmetric-difference count, not half")
     d.add_argument("--emit-common", action="store_true",

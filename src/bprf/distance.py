@@ -1,36 +1,45 @@
-"""The four distances over a parsed pair, two traversals each.
+"""The four distances over a parsed pair, from one linear scan of tree 1.
 
-Both traversals walk tree 1 and fold, per node, the lca in tree 2 of the
-images of everything below.  A cluster is shared exactly when that folded
-node spans no more than the original: leaf counts are compared in leaf
-mode, subtree sizes in fully-labelled mode.  The post-order driver pulls
-nodes with post_order_select, done inline as select0 then find_open, and
-keeps (folded position, subtree size) entries on one stack.  The closing
-bit c that select0 returns already settles the tree-1 side of a node open
-at p: it is a leaf when c == p + 1, its subtree size is (c - p + 1) // 2
-and its leaf count rank10(c) - rank10(p), so no further tree-1 search
-runs.  The sibling driver runs first_child/next_sibling with an explicit
-frame list so degenerate caterpillars cannot exhaust the interpreter
-stack.
+Tree 1's parenthesis sequence already is its depth-first walk, so the
+sweep reads it once, left to right, with one frame stack and no
+navigation query.  A 1 opens the next node in pre-order and saves the
+fold of its parent; a 0 closes the node on top.  Closing right after an
+opening bit marks a leaf, the nodes opened since the node's own opening
+bit give its subtree size, and the leaves closed since then its leaf
+count.  Each closed node's tree-2 image is the lca of its children's
+images, and in fully-labelled mode of its own label's image too, which
+seeds the fold when the node opens; that image then folds into the
+parent.  A cluster is shared exactly when the folded node spans no more
+than the original: leaf counts are compared in leaf mode, subtree sizes
+in fully-labelled mode.
 
 Unweighted results count internal clusters only, the root included; it
 always matches because both trees span the same label set.  Weighted
-results start from the grand weight total and subtract, for every shared
-cluster c, w1(c) + w2(c) - |w1(c) - w2(c)|: shared clusters then cost the
-absolute difference and unshared ones their full weight.  Leaf singletons
-are shared by the label map itself in leaf mode; in fully-labelled mode a
-leaf's image must be a leaf too, which is the size test again.
+results sum every weight of both trees and -2 * min(w1(c), w2(c)) for
+every shared cluster c in one math.fsum, so shared clusters cost the
+absolute difference and unshared ones their full weight.  The doubling
+is exact and fsum rounds the exact sum once, which makes the identity
+exactly 0.0, the result exactly symmetric and never negative for
+non-negative weights.  Leaf singletons are shared by the label map
+itself in leaf mode; in fully-labelled mode a leaf's image must be a
+leaf too, which is the size test again.
 
-Every call reports how often it touched the navigation operations whose
-per-call cost is not constant; the counts back the traversal-bound tests.
-They record only calls actually made, so the post-order driver counts no
-tree-1 cluster_size or num_leaves.
+"postorder" and "nextsibling", the names of two earlier tree-1 walks,
+both name this sweep; a result echoes the name it was asked for.  Every
+call reports how often it touched the tree-2 queries whose per-call cost
+is not constant; the counts back the traversal-bound tests.  Tree 1
+makes no query, so post_order_select and next_sibling stay 0.
 """
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .newick import ModeError, TreePair
+
+METRICS = ("rf", "erf", "wrf", "werf")
+IMPLS = ("postorder", "nextsibling")
 
 
 @dataclass
@@ -72,242 +81,120 @@ def _require(pair: TreePair, metric: str):
         raise ModeError(f"metric '{metric}' needs weights on the pair")
 
 
-def _finish(pair, metric, algorithm, equal, sub, common, ops):
-    if metric in ("wrf", "werf"):
-        raw = pair.weights_sum - sub
+def _sweep(pair: TreePair, metric: str, impl: str,
+           capture: bool) -> DistanceResult:
+    if impl not in IMPLS:
+        raise ValueError(f"unknown implementation {impl!r}")
+    extended = metric in ("erf", "werf")
+    weighted = metric in ("wrf", "werf")
+    t2 = pair.t2
+    code = pair.code_list()
+    w1 = pair.w1.tolist() if weighted else None
+    w2 = pair.w2.tolist() if weighted else None
+
+    # tree-2 queries, looked up on every call so that a wrapper installed
+    # on BpTree sees them
+    pos2 = t2.pre_order_select
+    premap2 = t2.pre_order_map
+    lca2 = t2.lca
+    size2 = t2.cluster_size if extended else t2.num_leaves
+
+    frames = []     # (pre-order index, leaves before it, parent's fold)
+    push = frames.append
+    pop = frames.pop
+    pre = leaves = 0
+    prev = 0
+    acc = None      # fold of the node on top; None before any child
+    folds = probes = equal = 0
+    shared = []     # -2 * min(w1, w2) per shared cluster, leaves included
+    common = [] if capture else None
+
+    for bit in pair.t1.bits.to01().tobytes():
+        if bit:
+            pre += 1
+            push((pre, leaves, acc))
+            acc = pos2(code[pre - 1]) if extended else None
+        else:
+            p, before, outer = pop()
+            if prev:
+                # a leaf: shared by its label, and in fully-labelled mode
+                # only if its image is a leaf as well
+                leaves += 1
+                j = code[p - 1]
+                if acc is None:
+                    acc = pos2(j)
+                matched = weighted
+                if weighted and extended:
+                    probes += 1
+                    matched = size2(acc) == 1
+            else:
+                probes += 1
+                span = pre - p + 1 if extended else leaves - before
+                matched = size2(acc) == span
+                if matched:
+                    equal += 1
+                    j = premap2(acc)
+                    if capture:
+                        common.append((p, j))
+            if matched and weighted:
+                shared.append(-2 * min(w1[p - 1], w2[j - 1]))
+            if outer is not None:
+                acc = lca2(outer, acc)
+                folds += 1
+        prev = bit
+
+    ops = OpCounts(lca=folds)
+    if extended:
+        ops.cluster_size = probes
+    else:
+        ops.num_leaves = probes
+    if weighted:
+        raw = math.fsum(chain(w1, w2, shared))
         halved = None
     else:
-        t1, t2 = pair.t1, pair.t2
-        internal1 = t1.n_nodes - t1.bits.rank10(t1.n_bits)
+        internal1 = pair.t1.n_nodes - leaves
         internal2 = t2.n_nodes - t2.bits.rank10(t2.n_bits)
         raw = internal1 + internal2 - 2 * equal
         halved = raw / 2
-    return DistanceResult(metric, algorithm, raw, halved, equal,
+    return DistanceResult(metric, impl, raw, halved, equal,
                           None if common is None else tuple(common), ops)
 
 
-def _run_postorder(pair: TreePair, metric: str, capture: bool):
-    extended = metric in ("erf", "werf")
-    weighted = metric in ("wrf", "werf")
-    t1, t2 = pair.t1, pair.t2
-    n = t1.n_nodes
-    code = pair.code_list()
-    w1 = pair.w1.tolist() if weighted else None
-    w2 = pair.w2.tolist() if weighted else None
-
-    select0 = t1.bits.select0
-    open1 = t1.find_open
-    rank10 = t1.bits.rank10
-    premap1 = t1.pre_order_map
-    premap2 = t2.pre_order_map
-    pos2 = t2.pre_order_select
-    lca2 = t2.lca
-    cs2 = t2.cluster_size
-    nl2 = t2.num_leaves
-
-    ops = OpCounts()
-    stack = []
-    push = stack.append
-    pop = stack.pop
-    equal = 0
-    sub = 0.0
-    common = [] if capture else None
-
-    for i in range(1, n + 1):
-        # post_order_select(i), keeping the closing bit c it passes through
-        c = select0(i)
-        p = open1(c)
-        ops.post_order_select += 1
-        if c == p + 1:
-            j = code[premap1(p) - 1]
-            q = pos2(j)
-            if weighted:
-                if extended:
-                    ops.cluster_size += 1
-                    shared = cs2(q) == 1
-                else:
-                    shared = True
-                if shared:
-                    a = w1[premap1(p) - 1]
-                    b = w2[j - 1]
-                    sub += a + b - abs(a - b)
-            push((q, 1))
-            continue
-        s = (c - p + 1) // 2
-        need = s - 1
-        acc = None
-        while need:
-            q, sz = pop()
-            need -= sz
-            if acc is None:
-                acc = q
-            else:
-                acc = lca2(acc, q)
-                ops.lca += 1
-        if extended:
-            own = pos2(code[premap1(p) - 1])
-            acc = lca2(acc, own)
-            ops.lca += 1
-        if extended:
-            ops.cluster_size += 1
-            matched = cs2(acc) == s
-        else:
-            ops.num_leaves += 1
-            matched = rank10(c) - rank10(p) == nl2(acc)
-        if matched:
-            equal += 1
-            if weighted:
-                a = w1[premap1(p) - 1]
-                b = w2[premap2(acc) - 1]
-                sub += a + b - abs(a - b)
-            if capture:
-                common.append((premap1(p), premap2(acc)))
-        push((acc, s))
-
-    return _finish(pair, metric, "postorder", equal, sub, common, ops)
-
-
-def _run_nextsibling(pair: TreePair, metric: str, capture: bool):
-    extended = metric in ("erf", "werf")
-    weighted = metric in ("wrf", "werf")
-    t1, t2 = pair.t1, pair.t2
-    code = pair.code_list()
-    w1 = pair.w1.tolist() if weighted else None
-    w2 = pair.w2.tolist() if weighted else None
-
-    premap1 = t1.pre_order_map
-    premap2 = t2.pre_order_map
-    leaf1 = t1.is_leaf
-    first1 = t1.first_child
-    next1 = t1.next_sibling
-    cs1 = t1.cluster_size
-    nl1 = t1.num_leaves
-    pos2 = t2.pre_order_select
-    lca2 = t2.lca
-    cs2 = t2.cluster_size
-    nl2 = t2.num_leaves
-
-    ops = OpCounts()
-    equal = 0
-    sub = 0.0
-    common = [] if capture else None
-
-    def leaf_entry(p):
-        nonlocal sub
-        j = code[premap1(p) - 1]
-        q = pos2(j)
-        if weighted:
-            if extended:
-                ops.cluster_size += 1
-                shared = cs2(q) == 1
-            else:
-                shared = True
-            if shared:
-                a = w1[premap1(p) - 1]
-                b = w2[j - 1]
-                sub += a + b - abs(a - b)
-        return q
-
-    if leaf1(1):
-        leaf_entry(1)
-        return _finish(pair, metric, "nextsibling", equal, sub, common, ops)
-
-    frames = []
-    cur = 1
-    while True:
-        while not leaf1(cur):
-            frames.append([cur, None])
-            cur = first1(cur)
-        entry = leaf_entry(cur)
-        while True:
-            top = frames[-1]
-            if top[1] is None:
-                top[1] = entry
-            else:
-                top[1] = lca2(top[1], entry)
-                ops.lca += 1
-            ns = next1(cur)
-            if ns is not None:
-                ops.next_sibling += 1
-                cur = ns
-                break
-            frames.pop()
-            p, acc = top
-            if extended:
-                own = pos2(code[premap1(p) - 1])
-                acc = lca2(acc, own)
-                ops.lca += 1
-            if extended:
-                ops.cluster_size += 2
-                matched = cs2(acc) == cs1(p)
-            else:
-                ops.num_leaves += 2
-                matched = nl1(p) == nl2(acc)
-            if matched:
-                equal += 1
-                if weighted:
-                    a = w1[premap1(p) - 1]
-                    b = w2[premap2(acc) - 1]
-                    sub += a + b - abs(a - b)
-                if capture:
-                    common.append((premap1(p), premap2(acc)))
-            if not frames:
-                return _finish(pair, metric, "nextsibling", equal, sub,
-                               common, ops)
-            entry = acc
-            cur = p
+def compute(pair: TreePair, metric: str, impl: str = "postorder",
+            capture: bool = False) -> DistanceResult:
+    """Any of the four metrics by name; the command line goes through
+    here.  impl is "postorder" or "nextsibling", both this one sweep."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    _require(pair, metric)
+    return _sweep(pair, metric, impl, capture)
 
 
 def rf_postorder(pair: TreePair, capture: bool = False) -> DistanceResult:
-    """Robinson-Foulds over leaf-labelled trees, post-order driver."""
-    _require(pair, "rf")
-    return _run_postorder(pair, "rf", capture)
+    """Robinson-Foulds over leaf-labelled trees."""
+    return compute(pair, "rf", "postorder", capture)
 
 
 def rf_nextsibling(pair: TreePair, capture: bool = False) -> DistanceResult:
-    """Robinson-Foulds over leaf-labelled trees, sibling-walk driver."""
-    _require(pair, "rf")
-    return _run_nextsibling(pair, "rf", capture)
+    """rf_postorder under the name "nextsibling"."""
+    return compute(pair, "rf", "nextsibling", capture)
 
 
 def erf(pair: TreePair, impl: str = "postorder",
         capture: bool = False) -> DistanceResult:
     """Extended RF over fully-labelled trees: all nodes fold, subtree
     sizes decide matching."""
-    _require(pair, "erf")
-    return _dispatch(pair, "erf", impl, capture)
+    return compute(pair, "erf", impl, capture)
 
 
 def wrf(pair: TreePair, impl: str = "postorder",
         capture: bool = False) -> DistanceResult:
     """Weighted RF over leaf-labelled trees; singletons are shared by the
     label map, internal clusters by leaf-count matching."""
-    _require(pair, "wrf")
-    return _dispatch(pair, "wrf", impl, capture)
+    return compute(pair, "wrf", impl, capture)
 
 
 def werf(pair: TreePair, impl: str = "postorder",
          capture: bool = False) -> DistanceResult:
-    """Weighted extended RF: wrf's subtraction with erf's matching."""
-    _require(pair, "werf")
-    return _dispatch(pair, "werf", impl, capture)
-
-
-def _dispatch(pair, metric, impl, capture):
-    if impl == "postorder":
-        return _run_postorder(pair, metric, capture)
-    if impl == "nextsibling":
-        return _run_nextsibling(pair, metric, capture)
-    raise ValueError(f"unknown implementation {impl!r}")
-
-
-def compute(pair: TreePair, metric: str, impl: str = "postorder",
-            capture: bool = False) -> DistanceResult:
-    """Dispatch by metric name; the command line goes through here."""
-    if metric == "rf":
-        _require(pair, "rf")
-        return _dispatch(pair, "rf", impl, capture)
-    if metric in ("erf", "wrf", "werf"):
-        _require(pair, metric)
-        return _dispatch(pair, metric, impl, capture)
-    raise ValueError(f"unknown metric {metric!r}")
+    """Weighted extended RF: wrf's weighted sum with erf's matching."""
+    return compute(pair, "werf", impl, capture)

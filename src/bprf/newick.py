@@ -11,7 +11,10 @@ for a lookup later.
 Label syntax: a maximal run of characters excluding '(' ')' ',' ':' ';'
 and whitespace.  Weight syntax: ':' immediately followed by a decimal
 literal with optional sign, fraction, and exponent.  A weight on the root
-is accepted and discarded, the root has no entering edge.
+is accepted and discarded, the root has no entering edge.  Every
+internal node, the root included, needs two or more children: a node
+with one would repeat its child's cluster, so the ')' closing it is
+rejected.
 
 Two labelling modes exist.  In leaf mode only leaves carry labels and
 internal labels are rejected; in full mode every node must carry one.
@@ -19,6 +22,7 @@ Mode "auto" picks full when both inputs contain internal labels, leaf when
 neither does, and refuses to guess otherwise.
 """
 
+import math
 import re
 
 import numpy as np
@@ -139,6 +143,7 @@ def _scan(text, tree_index):
     weights = []
     table = {}
     stack = []
+    commas = []     # ',' seen so far at each open '(' on the stack
     expect_node = True
     can_label = can_weight = False
     cur = 0
@@ -200,16 +205,21 @@ def _scan(text, tree_index):
             offsets.append(off)
             weights.append(0.0)
             stack.append(n)
+            commas.append(0)
             cur = 0
         elif delim == ",":
             if expect_node or not stack:
                 raise ParseError("expected a node before ','", off, tree_index)
+            commas[-1] += 1
             expect_node = True
             can_label = can_weight = False
             cur = 0
         elif delim == ")":
             if expect_node or not stack:
                 raise ParseError("expected a node before ')'", off, tree_index)
+            if not commas.pop():
+                raise ParseError("internal node with a single child", off,
+                                 tree_index)
             cur = stack.pop()
             bits.append(0)
             can_label = can_weight = True
@@ -303,7 +313,7 @@ def parse_pair(text1: str, text2: str, mode: str = "leaf",
         np.array(code, dtype=np.int32),
         np.array(s1.weights) if weighted else None,
         np.array(s2.weights) if weighted else None,
-        (float(sum(s1.weights)) + float(sum(s2.weights))) if weighted else None,
+        math.fsum(s1.weights + s2.weights) if weighted else None,
         mode,
     )
 
@@ -322,10 +332,6 @@ def parse_tree(text: str, weighted: bool = False):
 
 def has_internal_labels(text: str) -> bool:
     return _scan(text, 1).any_internal_label
-
-
-def has_weights(text: str) -> bool:
-    return _scan(text, 1).any_weight
 
 
 def write_newick(tree: BpTree, labels: LabelTable, weights=None) -> str:

@@ -47,7 +47,9 @@ def test_t5_navigation():
     assert t.lca(14, 11) == 10
     assert t.pre_order_map(10) == 6
     assert t.num_leaves(10) == 3
-    assert t.lca(4, 4) == 4
+    assert t.lca(5, 5) == 5
+    with pytest.raises(ValueError):
+        t.lca(4, 4)  # position 4 closes a node
 
 
 def test_accepts_minimal_trees():
@@ -80,6 +82,16 @@ def test_argument_validation():
         t.rmq(0, 5)
     with pytest.raises(ValueError):
         t.pre_order_select(11)
+
+
+def test_lca_rejects_non_opening_positions():
+    t = BpTree(T4_BITS)
+    assert t.lca(4, 4) == 4
+    assert t.lca(1, 4) == 1
+    for p, q in ((5, 5), (5, 4), (4, 5), (1, 20), (0, 4), (4, 21), (21, 21),
+                 (-1, 1)):
+        with pytest.raises(ValueError):
+            t.lca(p, q)
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +175,33 @@ def test_lca_matches_pointer_oracle(seed, n_leaves):
         a, b = rng.choice(nodes), rng.choice(nodes)
         want = _oracle_lca(parent, depth, a, b)
         assert t.lca(pos_of[id(a)], pos_of[id(b)]) == pos_of[id(want)]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=8, deadline=None)
+def test_lca_and_find_close_across_blocks(seed):
+    """Trees spanning many directory blocks and several top-index levels:
+    lca of random pairs and of ancestor pairs, whether the answer lies in
+    the top levels or below them, and find_close at every node."""
+    rng = random.Random(seed)
+    root = random_topology(rng, 3000, "binary")
+    bits, positions = encode_bits(root)
+    t = BpTree(bits)
+    nodes = preorder(root)
+    parent, depth, size, _ = _oracle_maps(root)
+    pos_of = {id(v): positions[i] for i, v in enumerate(nodes)}
+    pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(300)]
+    for _ in range(100):  # a node and one of its descendants
+        a = b = rng.choice(nodes)
+        while b.children and rng.random() < 0.9:
+            b = rng.choice(b.children)
+        pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+    for a, b in pairs:
+        want = pos_of[id(_oracle_lca(parent, depth, a, b))]
+        assert t.lca(pos_of[id(a)], pos_of[id(b)]) == want
+    for v in nodes:
+        p = pos_of[id(v)]
+        assert t.find_close(p) == p + 2 * size[id(v)] - 1
 
 
 @given(st.integers(0, 10_000), st.integers(2, 50))

@@ -97,6 +97,17 @@ def test_dist_exit_codes(nwk):
     assert run_cli("dist", a, a, "--metric", "hamming").returncode == 2
 
 
+def test_dist_unary_node_exits_2(nwk):
+    # these pairs once printed rf -1, rf -1 and erf 0 (the oracle: 1, 0, 2)
+    for a, b, metric in (("((A),B);", "(A,B);", "rf"),
+                         ("(((A,B)),C);", "((A,B),C);", "rf"),
+                         ("((A)X,B)Y;", "((X)A,B)Y;", "erf")):
+        r = run_cli("dist", nwk("a", a), nwk("b", b), "--metric", metric,
+                    "--raw")
+        assert r.returncode == 2, (a, r.stdout)
+        assert "tree 1, offset" in r.stderr and "single child" in r.stderr
+
+
 def test_dist_mode_flag(nwk):
     a = nwk("a", T2)
     b = nwk("b", T3)

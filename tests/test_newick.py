@@ -133,6 +133,27 @@ def test_parse_errors(text, offset, what):
     assert what in str(ei.value)
 
 
+# a node with one child repeats its child's cluster; such inputs once gave
+# rf -1 for "((A),B);" against "(A,B);" (Day and the oracle give 1)
+@pytest.mark.parametrize("text,offset", [
+    ("((A),B);", 3),
+    ("(((A,B)),C);", 7),
+    ("((A)X,B)Y;", 3),
+    ("((A,B));", 6),
+    ("(A);", 2),
+    ("((A:1):2,B:1);", 5),
+])
+def test_unary_node_rejected(text, offset):
+    with pytest.raises(ParseError) as ei:
+        parse_tree(text)
+    assert ei.value.offset == offset
+    assert "single child" in str(ei.value)
+    for k, (a, b) in ((1, (text, "(A,B);")), (2, ("(A,B);", text))):
+        with pytest.raises(ParseError) as ei:
+            parse_pair(a, b, mode="auto")
+        assert (ei.value.tree_index, ei.value.offset) == (k, offset)
+
+
 def test_parse_error_reports_tree_index():
     with pytest.raises(ParseError) as ei:
         parse_pair("(A,B);", "((A,B);")
