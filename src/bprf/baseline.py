@@ -98,9 +98,6 @@ class ClusterSet:
     def __len__(self):
         return len(self.entries)
 
-    def __contains__(self, key):
-        return key in self.entries
-
 
 def naive_clusters(root: PlainNode, mode: str = "leaf",
                    weighted: bool = False, ids: dict = None) -> ClusterSet:
@@ -143,7 +140,7 @@ def naive_distance(cs1: ClusterSet, cs2: ClusterSet, metric: str):
         total += abs(w - b.get(k, 0.0))
     for k, w in b.items():
         if k not in a:
-            total += w
+            total += abs(w)
     return total
 
 

@@ -3,22 +3,23 @@
 Positions are 1-based and rank queries are inclusive: rank1(p) counts ones
 in positions 1..p, rank1(0) == 0.  rank10 counts occurrences of the two-bit
 pattern "10", where an occurrence is located at the position of its zero.
+The queries are rank1, rank10 and select1: the balanced-parentheses tree
+needs no more.
 
 Layout: the payload is packed 8 bits per byte, most significant bit first,
-so position 1 is the high bit of byte 0.  On top of that sit two count
-directories, one absolute (64-bit entries, one per superblock) and one
-relative (16-bit entries, one per block).  Block size grows slowly with the
-vector length, which keeps the directory overhead a shrinking fraction of
-the payload while in-block scans stay a handful of word popcounts.  Select
-runs two binary searches over the count directories and finishes inside a
-single word with a byte table.
+so position 1 is the high bit of byte 0, and is held once, as a `bytes`
+object.  On top of that sit two count directories per query, one absolute
+(64-bit entries, one per superblock) and one relative (16-bit entries, one
+per block of 64-bit words).  Block size grows slowly with the vector
+length, which keeps the directory overhead a shrinking fraction of the
+payload while an in-block rank is one popcount of the block's bytes up to
+the position.  Select runs two binary searches over the count directories,
+then counts the block's words and finishes inside a byte with a table.
 """
 
 from bisect import bisect_left
 
 import numpy as np
-
-_M64 = (1 << 64) - 1
 
 _BYTE_POP = bytes(bin(i).count("1") for i in range(256))
 
@@ -41,7 +42,7 @@ def _popcount_words(a):
 
 
 class BitVector:
-    """Immutable 0/1 vector supporting rank1, rank0, rank10, select1, select0."""
+    """Immutable 0/1 vector supporting rank1, rank10 and select1."""
 
     def __init__(self, bits):
         arr = np.asarray(bits, dtype=np.uint8)
@@ -61,7 +62,7 @@ class BitVector:
         # relative counts need 16 * bw * 64 < 2**16, i.e. bw <= 63.
         bw = max(1, m.bit_length() // 8)
         self.block_words = bw
-        self.superblock_words = 16 * bw
+        self._block_bytes = 8 * bw
         nblk = max(1, -(-nwords // bw)) if nwords else 1
         nsb = -(-nblk // 16)
 
@@ -83,7 +84,7 @@ class BitVector:
                 pop10[-1] = t.bit_count()
         cum10 = np.concatenate([[0], np.cumsum(pop10)])
 
-        sb_word = np.minimum(np.arange(nsb + 1) * self.superblock_words, nwords)
+        sb_word = np.minimum(np.arange(nsb + 1) * 16 * bw, nwords)
         blk_word = np.minimum(np.arange(nblk) * bw, nwords)
         sb_of_blk = np.arange(nblk) // 16
 
@@ -92,27 +93,14 @@ class BitVector:
         sb10 = cum10[sb_word]
         blk10 = (cum10[blk_word] - sb10[sb_of_blk]).astype(np.uint16)
 
-        sb_bits = np.minimum(sb_word * 64, m)
-        sb0 = sb_bits - sb1
-        blk_bits_rel = (blk_word - sb_word[sb_of_blk]) * 64
-        blk0 = (blk_bits_rel - blk1.astype(np.int64)).astype(np.uint16)
-
         # Queries run on list mirrors: rank reads entries as plain ints and
         # select bisects the same lists, bounded to one superblock's blocks.
         self._sb1, self._blk1 = sb1.tolist(), blk1.tolist()
         self._sb10, self._blk10 = sb10.tolist(), blk10.tolist()
-        self._sb0, self._blk0 = sb0.tolist(), blk0.tolist()
-        self._words = words.tolist()
         self._nblk = nblk
 
     # ------------------------------------------------------------------
     # raw access
-
-    def bit(self, p: int) -> int:
-        """Bit at position p (1-based)."""
-        if not 1 <= p <= self.n_bits:
-            raise ValueError(f"position {p} out of range 1..{self.n_bits}")
-        return (self._words[(p - 1) >> 6] >> (63 - ((p - 1) & 63))) & 1
 
     def to01(self):
         """The payload as a uint8 array of 0/1 values."""
@@ -133,18 +121,12 @@ class BitVector:
             raise ValueError(f"position {p} out of range 0..{self.n_bits}")
         if p == 0:
             return 0
-        w = (p - 1) >> 6
-        blk = w // self.block_words
-        r = self._sb1[blk >> 4] + self._blk1[blk]
-        words = self._words
-        for wi in range(blk * self.block_words, w):
-            r += words[wi].bit_count()
-        return r + (words[w] >> (63 - ((p - 1) & 63))).bit_count()
-
-    def rank0(self, p: int) -> int:
-        if not 0 <= p <= self.n_bits:
-            raise ValueError(f"position {p} out of range 0..{self.n_bits}")
-        return p - self.rank1(p)
+        blk = ((p - 1) >> 6) // self.block_words
+        s = blk * self._block_bytes
+        e = (p + 7) >> 3
+        x = int.from_bytes(self._payload[s:e], "big")
+        return (self._sb1[blk >> 4] + self._blk1[blk]
+                + (x >> ((e << 3) - p)).bit_count())
 
     def rank10(self, p: int) -> int:
         """Occurrences of "10" whose zero lies at a position <= p."""
@@ -152,32 +134,23 @@ class BitVector:
             raise ValueError(f"position {p} out of range 0..{self.n_bits}")
         if p == 0:
             return 0
-        w = (p - 1) >> 6
-        blk = w // self.block_words
-        r = self._sb10[blk >> 4] + self._blk10[blk]
-        words = self._words
-        wi = blk * self.block_words
-        prev = (words[wi - 1] & 1) if wi else 0
-        # a "10" ends at each zero whose left neighbour, possibly the last
-        # bit of the previous word, is a one; ~x needs no mask because the
-        # shifted operand has no bits above 63
-        while wi < w:
-            x = words[wi]
-            r += (((x >> 1) | (prev << 63)) & ~x).bit_count()
-            prev = x & 1
-            wi += 1
-        x = words[w]
-        t = ((x >> 1) | (prev << 63)) & ~x
-        return r + (t >> (63 - ((p - 1) & 63))).bit_count()
+        blk = ((p - 1) >> 6) // self.block_words
+        s = blk * self._block_bytes
+        e = (p + 7) >> 3
+        by = self._payload
+        x = int.from_bytes(by[s:e], "big")
+        if s:
+            # the last bit before the block is the left neighbour of its
+            # first bit
+            x |= (by[s - 1] & 1) << ((e - s) << 3)
+        # a "10" ends at each zero whose left neighbour is a one; ~x needs
+        # no mask because x >> 1 has no bits above x's own
+        t = (x >> 1) & ~x
+        return (self._sb10[blk >> 4] + self._blk10[blk]
+                + (t >> ((e << 3) - p)).bit_count())
 
     # ------------------------------------------------------------------
     # select
-
-    def count1(self) -> int:
-        return self._sb1[-1]
-
-    def count0(self) -> int:
-        return self._sb0[-1]
 
     def select1(self, i: int) -> int:
         """Position of the i-th one (1-based)."""
@@ -189,54 +162,21 @@ class BitVector:
         lo = s << 4
         b = bisect_left(self._blk1, j, lo, min(self._nblk, lo + 16)) - 1
         j -= self._blk1[b]
-        words = self._words
-        for wi in range(b * self.block_words, len(words)):
-            c = words[wi].bit_count()
-            if j <= c:
-                return wi * 64 + _select_in_word(words[wi], j)
+        by = self._payload
+        k = b * self._block_bytes
+        while (c := int.from_bytes(by[k:k + 8], "big").bit_count()) < j:
             j -= c
-        raise AssertionError("select1 directory out of sync")
-
-    def select0(self, i: int) -> int:
-        """Position of the i-th zero (1-based)."""
-        total = self._sb0[-1]
-        if not 1 <= i <= total:
-            raise ValueError(f"select0 index {i} out of range 1..{total}")
-        s = bisect_left(self._sb0, i) - 1
-        j = i - self._sb0[s]
-        lo = s << 4
-        b = bisect_left(self._blk0, j, lo, min(self._nblk, lo + 16)) - 1
-        j -= self._blk0[b]
-        m = self.n_bits
-        words = self._words
-        for wi in range(b * self.block_words, len(words)):
-            valid = min(64, m - wi * 64)
-            c = valid - words[wi].bit_count()
-            if j <= c:
-                mask = _M64 if valid == 64 else (((1 << valid) - 1) << (64 - valid))
-                return wi * 64 + _select_in_word(~words[wi] & mask, j)
+            k += 8
+        while (c := _BYTE_POP[by[k]]) < j:
             j -= c
-        raise AssertionError("select0 directory out of sync")
+            k += 1
+        return (k << 3) + _SEL_BYTE[(by[k] << 3) | (j - 1)] + 1
 
     # ------------------------------------------------------------------
 
     def support_bits(self) -> int:
         """Directory overhead in bits, by declared entry width (64-bit
         superblock counts, 16-bit block counts); payload and mirrors excluded."""
-        sb = 64 * (len(self._sb1) + len(self._sb10) + len(self._sb0))
-        blk = 16 * (len(self._blk1) + len(self._blk10) + len(self._blk0))
+        sb = 64 * (len(self._sb1) + len(self._sb10))
+        blk = 16 * (len(self._blk1) + len(self._blk10))
         return sb + blk
-
-    def __len__(self) -> int:
-        return self.n_bits
-
-
-def _select_in_word(word: int, k: int) -> int:
-    """1-based offset of the k-th set bit of a 64-bit word, MSB first."""
-    for byte_i in range(8):
-        byte = (word >> (56 - 8 * byte_i)) & 0xFF
-        c = _BYTE_POP[byte]
-        if k <= c:
-            return byte_i * 8 + _SEL_BYTE[(byte << 3) | (k - 1)] + 1
-        k -= c
-    raise AssertionError("fewer set bits than requested")

@@ -3,18 +3,20 @@
 A tree with n nodes is the bit vector of its depth-first walk: 1 opens a
 node, 0 closes it, 2n bits total.  Node identity is carried two ways and
 both are 1-based: a position (index of an opening bit) and a pre-order
-index.  excess(p) = rank1(p) - rank0(p) is the depth of the node open at
-position p, and every navigation operation below reduces to rank, select,
-or an excess search.
+index.  excess(p), the ones minus the zeros in positions 1..p, is the
+depth of the node open at position p.  The queries are the ones the
+distance sweep asks of tree 2: pre_order_map (one rank1), pre_order_select
+(one select1), lca, cluster_size (find_close) and num_leaves (find_close
+and two rank10).
 
 Excess searches are served by a three-level structure: byte tables for
 in-block scans, per-block minima at the leaves of a flat segment tree for
-the rest.  The searches used here (matching parenthesis, encloser, range
-minimum) all look for the first crossing of a target value, and since the
-excess walk moves in unit steps the first block whose minimum reaches the
-target must contain that crossing; a block whose minimum stays above the
-target is passed over without a scan.  The root needs no search: it closes
-at the last bit and is every node's ancestor.
+the rest.  The searches used here (matching parenthesis, the ancestor at
+a given depth) both look for the first crossing of a target value, and
+since the excess walk moves in unit steps the first block whose minimum
+reaches the target must contain that crossing; a block whose minimum
+stays above the target is passed over without a scan.  The root needs no
+search: it closes at the last bit and is every node's ancestor.
 
 A top index lists, level by level, where the nodes of the first few levels
 open and close: at most 16 levels and one node in 128.  find_close reads a
@@ -34,13 +36,11 @@ from .bitvec import BitVector
 
 # Per-byte tables, MSB first.  The prefix excess of a byte after its j-th
 # bit (j = 1..8) sums +1 per one and -1 per zero.  _BYTE_EXC holds the
-# prefix after all eight bits, _BYTE_MIN its minimum over j, _BYTE_ARGMIN
-# the first j attaining that minimum, and _BYTE_FIRST / _BYTE_LAST at
-# byte * 17 + d + 8 the first / last j whose prefix is d (-8 <= d <= 8),
-# or 0 when no prefix is.
+# prefix after all eight bits, _BYTE_MIN its minimum over j, and
+# _BYTE_FIRST / _BYTE_LAST at byte * 17 + d + 8 the first / last j whose
+# prefix is d (-8 <= d <= 8), or 0 when no prefix is.
 _BYTE_EXC = []
 _BYTE_MIN = []
-_BYTE_ARGMIN = bytearray(256)
 _BYTE_FIRST = bytearray(256 * 17)
 _BYTE_LAST = bytearray(256 * 17)
 for _b in range(256):
@@ -48,9 +48,7 @@ for _b in range(256):
     _mn = 9
     for _j in range(1, 9):
         _e += 1 if _b & (0x100 >> _j) else -1
-        if _e < _mn:
-            _mn = _e
-            _BYTE_ARGMIN[_b] = _j
+        _mn = min(_mn, _e)
         _k = _b * 17 + _e + 8
         if not _BYTE_FIRST[_k]:
             _BYTE_FIRST[_k] = _j
@@ -66,7 +64,7 @@ _TOP_SHARE = 128
 
 
 class BpTree:
-    """Navigation over a balanced-parentheses tree encoding."""
+    """Queries over a balanced-parentheses tree encoding."""
 
     def __init__(self, bits):
         self.bits = bits if isinstance(bits, BitVector) else BitVector(bits)
@@ -128,11 +126,6 @@ class BpTree:
         """Depth measure: ones minus zeros in positions 1..p."""
         return 2 * self.bits.rank1(p) - p
 
-    def is_leaf(self, p: int) -> bool:
-        if not 1 <= p <= self.n_bits or not self._bit(p):
-            raise ValueError(f"{p} is not an opening position")
-        return self._bit(p + 1) == 0
-
     def pre_order_map(self, p: int) -> int:
         """Pre-order index of the node open at p."""
         return self.bits.rank1(p)
@@ -141,12 +134,8 @@ class BpTree:
         """Opening position of the i-th node in pre-order."""
         return self.bits.select1(i)
 
-    def post_order_select(self, i: int) -> int:
-        """Opening position of the i-th node in post-order."""
-        return self.find_open(self.bits.select0(i))
-
     # ------------------------------------------------------------------
-    # matching and enclosing
+    # tree queries
 
     def find_close(self, p: int) -> int:
         """Position of the closing bit matching the open at p."""
@@ -161,63 +150,6 @@ class BpTree:
             return c
         e = self.excess(p)
         return self._fwd_excess(p, e, e - 1)
-
-    def find_open(self, p: int) -> int:
-        """Position of the opening bit matching the close at p."""
-        if not 1 <= p <= self.n_bits or self._bit(p):
-            raise ValueError(f"{p} is not a closing position")
-        if self._bit(p - 1) == 1:
-            return p - 1
-        # the bit at p closes, so excess(p) == excess(p - 1) - 1
-        e = self.excess(p - 1)
-        return self._bwd_excess(p, e, e - 1) + 1
-
-    def enclose(self, p: int) -> int:
-        """Opening position of the parent of the node open at p."""
-        if not 1 <= p <= self.n_bits or not self._bit(p):
-            raise ValueError(f"{p} is not an opening position")
-        if p == 1:
-            raise ValueError("the root has no enclosing node")
-        if self._bit(p - 1) == 1:
-            return p - 1
-        # the bit at p opens, so excess(p) - 2 == excess(p - 1) - 1
-        e = self.excess(p - 1)
-        return self._bwd_excess(p, e, e - 1) + 1
-
-    def rmq(self, l: int, r: int) -> int:
-        """Leftmost position of minimum excess in [l..r]."""
-        if not 1 <= l <= r <= self.n_bits:
-            raise ValueError(f"bad range [{l}..{r}]")
-        bsize = self._bsize
-        bl = (l - 1) // bsize
-        br = (r - 1) // bsize
-        if bl == br:
-            return self._scan_min(l, r)[1]
-        best_v, best_p = self._scan_min(l, (bl + 1) * bsize)
-        if br > bl + 1:
-            mv, node = self._seg_range_min(bl + 1, br - 1)
-            if mv < best_v:
-                b = self._seg_descend(node, mv)
-                best_v, best_p = mv, self._scan_first(b, mv)
-        v, p = self._scan_min(br * bsize + 1, r)
-        if v < best_v:
-            best_v, best_p = v, p
-        return best_p
-
-    # ------------------------------------------------------------------
-    # tree navigation
-
-    def first_child(self, p: int) -> int:
-        if self.is_leaf(p):
-            raise ValueError(f"node at {p} is a leaf")
-        return p + 1
-
-    def next_sibling(self, p: int):
-        """Opening position of the next sibling, or None for a last child."""
-        q = self.find_close(p) + 1
-        if q <= self.n_bits and self._bit(q) == 1:
-            return q
-        return None
 
     def lca(self, p: int, q: int) -> int:
         """Opening position of the lowest common ancestor of two nodes."""
@@ -350,118 +282,82 @@ class BpTree:
         raise ValueError("no backward match")
 
     def _scan_min(self, a, b):
-        """(min excess, leftmost position) over positions [a..b]."""
+        """Least excess over positions [a..b]."""
         by = self._bytes
         e = 2 * self.bits.rank1(a - 1) - (a - 1)
-        best_v = self._inf
-        best_p = -1
+        low = self._inf
         q = a - 1
         while q < b and q & 7:
             e += 1 if (by[q >> 3] >> (7 - (q & 7))) & 1 else -1
             q += 1
-            if e < best_v:
-                best_v, best_p = e, q
+            if e < low:
+                low = e
         while q + 8 <= b:
             byte = by[q >> 3]
-            if e + _BYTE_MIN[byte] < best_v:
-                best_v = e + _BYTE_MIN[byte]
-                best_p = q + _BYTE_ARGMIN[byte]
+            if e + _BYTE_MIN[byte] < low:
+                low = e + _BYTE_MIN[byte]
             e += _BYTE_EXC[byte]
             q += 8
         while q < b:
             e += 1 if (by[q >> 3] >> (7 - (q & 7))) & 1 else -1
             q += 1
-            if e < best_v:
-                best_v, best_p = e, q
-        return best_v, best_p
+            if e < low:
+                low = e
+        return low
 
     def _min_excess(self, l, r):
-        """Least excess over positions [l..r]: rmq's value, not its place."""
+        """Least excess over positions [l..r]."""
         bsize = self._bsize
         bl = (l - 1) // bsize
         br = (r - 1) // bsize
         if bl == br:
-            return self._scan_min(l, r)[0]
-        low = min(self._scan_min(l, (bl + 1) * bsize)[0],
-                  self._scan_min(br * bsize + 1, r)[0])
+            return self._scan_min(l, r)
+        low = min(self._scan_min(l, (bl + 1) * bsize),
+                  self._scan_min(br * bsize + 1, r))
         if br > bl + 1:
-            low = min(low, self._seg_range_min(bl + 1, br - 1)[0])
+            low = min(low, self._seg_range_min(bl + 1, br - 1))
         return low
-
-    def _scan_first(self, b, v):
-        """Leftmost position in block b with excess == v."""
-        bsize = self._bsize
-        start = b * bsize
-        end = min(self.n_bits, start + bsize)
-        by = self._bytes
-        e = 2 * self.bits.rank1(start) - start
-        q = start
-        while q + 8 <= end:
-            byte = by[q >> 3]
-            if e + _BYTE_MIN[byte] <= v:
-                return q + _byte_first(byte, v - e)
-            e += _BYTE_EXC[byte]
-            q += 8
-        while q < end:
-            e += 1 if (by[q >> 3] >> (7 - (q & 7))) & 1 else -1
-            q += 1
-            if e == v:
-                return q
-        raise AssertionError("excess directory out of sync")
 
     # ------------------------------------------------------------------
     # segment tree over block minima
 
     def _seg_range_min(self, lo, hi):
-        """(minimum over blocks lo..hi, leftmost tree node holding it)."""
+        """Minimum over blocks lo..hi."""
         seg = self._seg
-        res = self._inf
-        node = 0
-        right = self._inf
-        rnode = 0
+        low = self._inf
         i = self._p2 + lo
         j = self._p2 + hi + 1
-        # left-side nodes arrive left to right, right-side ones right to
-        # left, so strict and non-strict tests each keep the leftmost
         while i < j:
             if i & 1:
-                if seg[i] < res:
-                    res, node = seg[i], i
+                if seg[i] < low:
+                    low = seg[i]
                 i += 1
             if j & 1:
                 j -= 1
-                if seg[j] <= right:
-                    right, rnode = seg[j], j
+                if seg[j] < low:
+                    low = seg[j]
             i >>= 1
             j >>= 1
-        if right < res:
-            return right, rnode
-        return res, node
-
-    def _seg_descend(self, i, target):
-        """Leftmost block under tree node i whose minimum is <= target,
-        given that node i's minimum is."""
-        seg = self._seg
-        p2 = self._p2
-        while i < p2:
-            i *= 2
-            if seg[i] > target:
-                i += 1
-        return i - p2
+        return low
 
     def _seg_next(self, b, target):
         """Smallest block index >= b whose minimum is <= target, else -1."""
         if b >= self._nb:
             return -1
         seg = self._seg
-        i = self._p2 + b
+        p2 = self._p2
+        i = p2 + b
         while seg[i] > target:
             # climb past every level where i is a right child
             i >>= (i ^ (i + 1)).bit_length() - 1
             if i <= 1:
                 return -1
             i += 1
-        return self._seg_descend(i, target)
+        while i < p2:
+            i *= 2
+            if seg[i] > target:
+                i += 1
+        return i - p2
 
     def _seg_prev(self, b, target):
         """Largest block index <= b whose minimum is <= target, else -1."""

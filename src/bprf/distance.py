@@ -15,14 +15,15 @@ in fully-labelled mode.
 
 Unweighted results count internal clusters only, the root included; it
 always matches because both trees span the same label set.  Weighted
-results sum every weight of both trees and -2 * min(w1(c), w2(c)) for
-every shared cluster c in one math.fsum, so shared clusters cost the
-absolute difference and unshared ones their full weight.  The doubling
-is exact and fsum rounds the exact sum once, which makes the identity
-exactly 0.0, the result exactly symmetric and never negative for
-non-negative weights.  Leaf singletons are shared by the label map
-itself in leaf mode; in fully-labelled mode a leaf's image must be a
-leaf too, which is the size test again.
+results are the sum of |w1(c) - w2(c)| over all clusters c, a cluster
+missing from a tree weighing 0 there.  One math.fsum adds |w| for every
+weight of both trees and -2 * min(|w1(c)|, |w2(c)|) for every shared
+cluster whose two weights have the same sign; weights of opposite signs
+cost |w1(c)| + |w2(c)| as they stand.  Every term is exact and fsum
+rounds the exact sum once, which makes the identity exactly 0.0 and the
+result exactly symmetric and never negative.  Leaf singletons are shared
+by the label map itself in leaf mode; in fully-labelled mode a leaf's
+image must be a leaf too, which is the size test again.
 
 "postorder" and "nextsibling", the names of two earlier tree-1 walks,
 both name this sweep; a result echoes the name it was asked for.  Every
@@ -106,7 +107,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     prev = 0
     acc = None      # fold of the node on top; None before any child
     folds = probes = equal = 0
-    shared = []     # -2 * min(w1, w2) per shared cluster, leaves included
+    shared = []     # -2 * min(|w1|, |w2|) per same-sign shared cluster
     common = [] if capture else None
 
     for bit in pair.t1.bits.to01().tobytes():
@@ -137,7 +138,9 @@ def _sweep(pair: TreePair, metric: str, impl: str,
                     if capture:
                         common.append((p, j))
             if matched and weighted:
-                shared.append(-2 * min(w1[p - 1], w2[j - 1]))
+                a, b = w1[p - 1], w2[j - 1]
+                if (a < 0) == (b < 0):
+                    shared.append(-2 * min(abs(a), abs(b)))
             if outer is not None:
                 acc = lca2(outer, acc)
                 folds += 1
@@ -149,7 +152,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     else:
         ops.num_leaves = probes
     if weighted:
-        raw = math.fsum(chain(w1, w2, shared))
+        raw = math.fsum(chain(map(abs, w1), map(abs, w2), shared))
         halved = None
     else:
         internal1 = pair.t1.n_nodes - leaves

@@ -22,7 +22,6 @@ Mode "auto" picks full when both inputs contain internal labels, leaf when
 neither does, and refuses to guess otherwise.
 """
 
-import math
 import re
 
 import numpy as np
@@ -99,10 +98,9 @@ class TreePair:
     """
 
     __slots__ = ("t1", "t2", "labels1", "labels2", "code_map",
-                 "w1", "w2", "weights_sum", "mode", "_code_list")
+                 "w1", "w2", "mode", "_code_list")
 
-    def __init__(self, t1, t2, labels1, labels2, code_map, w1, w2,
-                 weights_sum, mode):
+    def __init__(self, t1, t2, labels1, labels2, code_map, w1, w2, mode):
         self.t1 = t1
         self.t2 = t2
         self.labels1 = labels1
@@ -110,7 +108,6 @@ class TreePair:
         self.code_map = code_map
         self.w1 = w1
         self.w2 = w2
-        self.weights_sum = weights_sum
         self.mode = mode
         self._code_list = None
 
@@ -313,7 +310,6 @@ def parse_pair(text1: str, text2: str, mode: str = "leaf",
         np.array(code, dtype=np.int32),
         np.array(s1.weights) if weighted else None,
         np.array(s2.weights) if weighted else None,
-        math.fsum(s1.weights + s2.weights) if weighted else None,
         mode,
     )
 

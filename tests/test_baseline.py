@@ -71,7 +71,7 @@ def test_naive_cluster_enumeration():
     key = lambda names: tuple(sorted(ids[x] for x in names))
     for names in (["B"], ["C"], ["D"], ["A"], ["E"], ["B", "C"],
                   ["B", "C", "D"], ["A", "E"], ["A", "B", "C", "D", "E"]):
-        assert key(names) in cs
+        assert key(names) in cs.entries
 
 
 def test_naive_full_mode_includes_internal_labels():
@@ -79,7 +79,7 @@ def test_naive_full_mode_includes_internal_labels():
     cs = naive_clusters(parse_plain("(((B,C)F,D)G,(A,E)H)I;"), "full", False,
                         ids)
     assert len(cs) == 9
-    assert tuple(sorted(ids[x] for x in ("B", "C", "F"))) in cs
+    assert tuple(sorted(ids[x] for x in ("B", "C", "F"))) in cs.entries
 
 
 def test_naive_single_leaf():

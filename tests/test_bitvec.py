@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,6 @@ def test_known_ranks():
     bv = BitVector(T4_BITS)
     assert bv.rank1(8) == 5
     assert bv.rank10(8) == 2
-    assert bv.rank0(8) == 3
     assert bv.rank1(0) == 0
     assert bv.rank1(20) == 10
 
@@ -22,8 +22,8 @@ def test_known_ranks():
 def test_known_selects():
     bv = BitVector(T4_BITS)
     assert bv.select1(4) == 4
-    assert bv.select0(1) == 5
-    assert bv.select0(3) == 8
+    assert bv.select1(5) == 6
+    assert bv.select1(10) == 17
     assert BitVector(T5_BITS).select1(9) == 14
 
 
@@ -32,24 +32,23 @@ def test_select_out_of_range():
     with pytest.raises(ValueError):
         bv.select1(11)
     with pytest.raises(ValueError):
-        bv.select0(0)
+        bv.select1(0)
     with pytest.raises(ValueError):
         bv.rank1(21)
 
 
 def test_bit_access():
     bv = BitVector(T4_BITS)
-    assert [bv.bit(p) for p in range(1, 21)] == T4_BITS
+    assert bv.to01().tolist() == T4_BITS
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=400))
 @settings(max_examples=150)
 def test_rank_matches_scan(bits):
-    """rank1/rank0/rank10 agree with a linear scan at every position."""
+    """rank1/rank10 agree with a linear scan at every position."""
     bv = BitVector(bits)
     for p in range(len(bits) + 1):
         assert bv.rank1(p) == rank1_scan(bits, p)
-        assert bv.rank0(p) == p - rank1_scan(bits, p)
         assert bv.rank10(p) == rank10_scan(bits, p)
 
 
@@ -60,8 +59,6 @@ def test_select_matches_scan(bits):
     ones = sum(bits)
     for i in range(1, ones + 1):
         assert bv.select1(i) == select_scan(bits, 1, i)
-    for i in range(1, len(bits) - ones + 1):
-        assert bv.select0(i) == select_scan(bits, 0, i)
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
@@ -72,7 +69,7 @@ def test_rank_select_roundtrip(bits):
     for i in range(1, sum(bits) + 1):
         p = bv.select1(i)
         assert bv.rank1(p) == i
-        assert bv.bit(p) == 1
+        assert bv.rank1(p - 1) == i - 1  # the bit at p is a one
 
 
 def test_large_vector_against_scan():
@@ -87,12 +84,22 @@ def test_large_vector_against_scan():
         assert bv.rank10(p) == rank10_scan(bits, p)
     ones = sum(bits)
     for i in [1, 2, 1000, ones // 2, ones]:
-        assert bv.rank1(bv.select1(i)) == i
-    zeros = len(bits) - ones
-    for i in [1, zeros // 3, zeros]:
-        p = bv.select0(i)
-        assert bv.bit(p) == 0
-        assert p - bv.rank1(p) == i
+        assert bv.select1(i) == select_scan(bits, 1, i)
+
+
+def test_multiword_blocks_every_position():
+    """rank1, rank10 and select1 at every position of a vector whose
+    blocks span two words, against numpy prefix sums."""
+    bits = np.random.default_rng(70).integers(0, 2, 70_000, dtype=np.uint8)
+    bv = BitVector(bits)
+    assert bv.block_words == 2
+    ones = np.concatenate([[0], np.cumsum(bits)]).tolist()
+    tens = np.concatenate([[0, 0], np.cumsum(bits[:-1] > bits[1:])]).tolist()
+    for p in range(len(bits) + 1):
+        assert bv.rank1(p) == ones[p]
+        assert bv.rank10(p) == tens[p]
+    for i, p in enumerate((np.flatnonzero(bits) + 1).tolist(), start=1):
+        assert bv.select1(i) == p
 
 
 def test_packed_bytes_layout():

