@@ -67,12 +67,12 @@ class BpTree:
     """Queries over a balanced-parentheses tree encoding."""
 
     def __init__(self, bits):
-        self.bits = bits if isinstance(bits, BitVector) else BitVector(bits)
+        arr = np.asarray(bits, dtype=np.uint8)
+        self.bits = BitVector(arr)
         m = self.bits.n_bits
         if m < 2 or m % 2:
             raise ValueError("parenthesis sequence must have positive even length")
 
-        arr = self.bits.to01()
         cum = np.cumsum(arr.astype(np.int64) * 2 - 1)
         if int(cum[-1]) != 0 or int(cum[:-1].min(initial=1)) < 1:
             raise ValueError("not a balanced sequence with a single root")

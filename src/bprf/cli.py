@@ -326,8 +326,7 @@ def cmd_pack(args):
     with open(args.output, "wb") as fh:
         fh.write(pack(tree, labels, w))
     if args.report:
-        text = _read(args.input)
-        print(size_report(parse_pair(text, text, mode="auto")))
+        print(size_report(tree))
     return 0
 
 

@@ -89,7 +89,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     extended = metric in ("erf", "werf")
     weighted = metric in ("wrf", "werf")
     t2 = pair.t2
-    code = pair.code_list()
+    code = pair.code_map.tolist()
     w1 = pair.w1.tolist() if weighted else None
     w2 = pair.w2.tolist() if weighted else None
 

@@ -3,18 +3,21 @@
 A tree is read in one pass: every '(' appends an opening bit, every leaf
 appends an open-close pair, every ')' appends a closing bit.  Labels and
 weights land in pre-order slots (slot i-1 for node i), so nothing pointer
-shaped is ever built.  The label table used to join the two trees of a
-pair is transient: it is dropped before the pair is returned, and the
-LabelTable kept on the pair rebuilds its forward map only if someone asks
-for a lookup later.
+shaped is ever built.  A parsed pair keeps no names: the label strings
+and the table that joins the two trees die inside parse_pair, which
+returns the two encodings, the code map and the weights.  parse_tree
+keeps a tree's names in a LabelTable for write_newick and pack.  Error
+offsets are not stored per node; an error recovers its offset by
+scanning the text again.
 
 Label syntax: a maximal run of characters excluding '(' ')' ',' ':' ';'
-and whitespace.  Weight syntax: ':' immediately followed by a decimal
-literal with optional sign, fraction, and exponent.  A weight on the root
-is accepted and discarded, the root has no entering edge.  Every
-internal node, the root included, needs two or more children: a node
-with one would repeat its child's cluster, so the ')' closing it is
-rejected.
+'[' ']' "'" and whitespace.  Weight syntax: ':' immediately followed by
+a decimal literal with optional sign, fraction, and exponent.  Comments
+('[...]') and quoted labels are not supported: their first '[', ']' or
+"'" is a parse error.  A weight on the root is accepted and discarded,
+the root has no entering edge.  Every internal node, the root included,
+needs two or more children: a node with one would repeat its child's
+cluster, so the ')' closing it is rejected.
 
 Two labelling modes exist.  In leaf mode only leaves carry labels and
 internal labels are rejected; in full mode every node must carry one.
@@ -28,7 +31,8 @@ import numpy as np
 
 from .bp import BpTree
 
-_TOKEN = re.compile(r"[ \t\r\n]+|([(),;])|:([^(),;:\s]*)|([^(),;:\s]+)")
+_TOKEN = re.compile(r"[ \t\r\n]+|([(),;])|:([^(),;:\s\[\]']*)"
+                    r"|([^(),;:\s\[\]']+)|([\[\]'])")
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z")
 
 
@@ -57,34 +61,16 @@ class ModeError(ValueError):
 
 
 class LabelTable:
-    """label <-> pre-order index for one tree.
+    """The names of one tree's nodes, by pre-order index."""
 
-    Stores only the reverse array (index to optional name); the forward
-    dictionary is rebuilt lazily on the first index_of call, which keeps
-    the steady-state footprint at one list of strings.
-    """
-
-    __slots__ = ("_names", "_index")
+    __slots__ = ("_names",)
 
     def __init__(self, names):
         self._names = names
-        self._index = None
 
     def name_of(self, i: int):
         """Label of node i, or None."""
         return self._names[i - 1]
-
-    def index_of(self, label: str) -> int:
-        if self._index is None:
-            self._index = {nm: i + 1 for i, nm in enumerate(self._names)
-                           if nm is not None}
-        return self._index[label]
-
-    def labelled_count(self) -> int:
-        return sum(1 for nm in self._names if nm is not None)
-
-    def __len__(self) -> int:
-        return len(self._names)
 
 
 class TreePair:
@@ -97,19 +83,15 @@ class TreePair:
     the leaf count and n is the node count of tree 1.
     """
 
-    __slots__ = ("t1", "t2", "labels1", "labels2", "code_map",
-                 "w1", "w2", "mode", "_code_list")
+    __slots__ = ("t1", "t2", "code_map", "w1", "w2", "mode")
 
-    def __init__(self, t1, t2, labels1, labels2, code_map, w1, w2, mode):
+    def __init__(self, t1, t2, code_map, w1, w2, mode):
         self.t1 = t1
         self.t2 = t2
-        self.labels1 = labels1
-        self.labels2 = labels2
         self.code_map = code_map
         self.w1 = w1
         self.w2 = w2
         self.mode = mode
-        self._code_list = None
 
     @property
     def n(self) -> int:
@@ -119,24 +101,16 @@ class TreePair:
     def weighted(self) -> bool:
         return self.w1 is not None
 
-    def code_list(self):
-        """code_map as a plain list, cached; the distance loops index it."""
-        if self._code_list is None:
-            self._code_list = self.code_map.tolist()
-        return self._code_list
-
 
 class _Scanned:
-    __slots__ = ("bits", "kinds", "labels", "offsets", "weights",
-                 "table", "n", "any_weight", "any_internal_label")
+    __slots__ = ("bits", "labels", "weights", "table", "n", "any_weight",
+                 "first_internal_label")
 
 
 def _scan(text, tree_index):
-    """Single pass over one newick string; all per-node arrays use slot i-1."""
-    bits = []
-    kinds = []      # True for leaves
+    """Single pass over one newick string; labels and weights use slot i-1."""
+    bits = bytearray()
     labels = []
-    offsets = []    # label offset if labelled, else the node's '(' offset
     weights = []
     table = {}
     stack = []
@@ -146,12 +120,12 @@ def _scan(text, tree_index):
     cur = 0
     n = 0
     any_weight = False
-    any_internal = False
+    first_internal = None   # offset of the first internal label
     end = None
 
     for mo in _TOKEN.finditer(text):
-        delim, wtok, label = mo.group(1), mo.group(2), mo.group(3)
-        if delim is None and wtok is None and label is None:
+        delim, wtok, label, bad = mo.groups()
+        if delim is None and wtok is None and label is None and bad is None:
             continue
         off = mo.start()
         if end is not None:
@@ -159,11 +133,8 @@ def _scan(text, tree_index):
         if label is not None:
             if expect_node:
                 n += 1
-                bits.append(1)
-                bits.append(0)
-                kinds.append(True)
+                bits += b"\x01\x00"
                 labels.append(label)
-                offsets.append(off)
                 weights.append(0.0)
                 if label in table:
                     raise ParseError(f"duplicate label '{label}'", off, tree_index)
@@ -177,8 +148,8 @@ def _scan(text, tree_index):
                     raise ParseError(f"duplicate label '{label}'", off, tree_index)
                 table[label] = cur
                 labels[cur - 1] = label
-                offsets[cur - 1] = off
-                any_internal = True
+                if first_internal is None:
+                    first_internal = off
                 can_label = False
             else:
                 raise ParseError(f"unexpected label '{label}'", off, tree_index)
@@ -197,9 +168,7 @@ def _scan(text, tree_index):
                 raise ParseError("unexpected '('", off, tree_index)
             n += 1
             bits.append(1)
-            kinds.append(False)
             labels.append(None)
-            offsets.append(off)
             weights.append(0.0)
             stack.append(n)
             commas.append(0)
@@ -220,42 +189,63 @@ def _scan(text, tree_index):
             cur = stack.pop()
             bits.append(0)
             can_label = can_weight = True
-        else:  # ';'
+        elif delim == ";":
             if expect_node:
                 raise ParseError("empty tree" if n == 0 else
                                  "expected a node before ';'", off, tree_index)
             if stack:
                 raise ParseError("unbalanced parentheses", off, tree_index)
             end = mo.end()
+        else:
+            raise ParseError("quoted labels are not supported" if bad == "'"
+                             else "comments are not supported", off,
+                             tree_index)
 
     if end is None:
         raise ParseError("missing ';' terminator", len(text), tree_index)
 
     s = _Scanned()
     s.bits = bits
-    s.kinds = kinds
     s.labels = labels
-    s.offsets = offsets
     s.weights = weights
     s.table = table
     s.n = n
     s.any_weight = any_weight
-    s.any_internal_label = any_internal
+    s.first_internal_label = first_internal
     return s
 
 
-def _check_mode(s, mode, tree_index):
+def _node_offset(text, k):
+    """Offset of the '(' or leaf label opening pre-order node k of a text
+    that scanned cleanly; error paths only."""
+    n = 0
+    opens = True    # a label here opens a leaf
+    for mo in _TOKEN.finditer(text):
+        delim, wtok, label, _ = mo.groups()
+        if delim is None and wtok is None and label is None:
+            continue
+        if delim == "(" or (label is not None and opens):
+            n += 1
+            if n == k:
+                return mo.start()
+        opens = delim == "(" or delim == ","
+
+
+def _label_offset(text, label):
+    """Offset of a label's token; labels are unique within a tree."""
+    return next(mo.start() for mo in _TOKEN.finditer(text)
+                if mo.group(3) == label)
+
+
+def _check_mode(s, text, mode, tree_index):
     if mode == "leaf":
-        if s.any_internal_label:
-            off = min(s.offsets[i] for i in range(s.n)
-                      if not s.kinds[i] and s.labels[i] is not None)
+        if s.first_internal_label is not None:
             raise ModeError("internal label not allowed in leaf mode",
-                            off, tree_index)
-    else:
-        for i in range(s.n):
-            if s.labels[i] is None:
-                raise ModeError("unlabelled node in fully-labelled mode",
-                                s.offsets[i], tree_index)
+                            s.first_internal_label, tree_index)
+    elif None in s.labels:
+        raise ModeError("unlabelled node in fully-labelled mode",
+                        _node_offset(text, s.labels.index(None) + 1),
+                        tree_index)
 
 
 def parse_pair(text1: str, text2: str, mode: str = "leaf",
@@ -263,19 +253,20 @@ def parse_pair(text1: str, text2: str, mode: str = "leaf",
     """Parse two newick strings and join them by label.
 
     mode is "leaf", "full", or "auto".  With weighted=True the per-node
-    weight vectors and their grand total are kept; weight literals in the
-    input are validated either way.
+    weight vectors are kept; weight literals in the input are validated
+    either way.  The pair keeps no label strings.
     """
     if mode not in ("leaf", "full", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
     s1 = _scan(text1, 1)
     s2 = _scan(text2, 2)
     if mode == "auto":
-        if s1.any_internal_label != s2.any_internal_label:
+        internal1 = s1.first_internal_label is not None
+        if internal1 != (s2.first_internal_label is not None):
             raise ModeError("internal labels present in only one input")
-        mode = "full" if s1.any_internal_label else "leaf"
-    _check_mode(s1, mode, 1)
-    _check_mode(s2, mode, 2)
+        mode = "full" if internal1 else "leaf"
+    _check_mode(s1, text1, mode, 1)
+    _check_mode(s2, text2, mode, 2)
     if weighted:
         for s, k in ((s1, 1), (s2, 2)):
             if not s.any_weight:
@@ -285,16 +276,14 @@ def parse_pair(text1: str, text2: str, mode: str = "leaf",
     code = [0] * s1.n
     table1 = s1.table
     matched = 0
-    labels2 = s2.labels
-    for j in range(s2.n):
-        lab = labels2[j]
+    for j, lab in enumerate(s2.labels, 1):
         if lab is None:
             continue
         i = table1.get(lab)
         if i is None:
             raise LabelMismatchError(f"label '{lab}' not in first tree",
-                                     s2.offsets[j], 2)
-        code[i - 1] = j + 1
+                                     _label_offset(text2, lab), 2)
+        code[i - 1] = j
         matched += 1
     if matched < len(table1):
         miss = next(s1.labels[i] for i in range(s1.n)
@@ -302,11 +291,9 @@ def parse_pair(text1: str, text2: str, mode: str = "leaf",
         raise LabelMismatchError(f"label '{miss}' missing from second tree",
                                  len(text2), 2)
 
-    t1 = BpTree(np.array(s1.bits, dtype=np.uint8))
-    t2 = BpTree(np.array(s2.bits, dtype=np.uint8))
     return TreePair(
-        t1, t2,
-        LabelTable(s1.labels), LabelTable(s2.labels),
+        BpTree(np.frombuffer(s1.bits, np.uint8)),
+        BpTree(np.frombuffer(s2.bits, np.uint8)),
         np.array(code, dtype=np.int32),
         np.array(s1.weights) if weighted else None,
         np.array(s2.weights) if weighted else None,
@@ -321,13 +308,9 @@ def parse_tree(text: str, weighted: bool = False):
     are kept when present.
     """
     s = _scan(text, 1)
-    tree = BpTree(np.array(s.bits, dtype=np.uint8))
+    tree = BpTree(np.frombuffer(s.bits, np.uint8))
     w = np.array(s.weights) if (weighted and s.any_weight) else None
     return tree, LabelTable(s.labels), w
-
-
-def has_internal_labels(text: str) -> bool:
-    return _scan(text, 1).any_internal_label
 
 
 def write_newick(tree: BpTree, labels: LabelTable, weights=None) -> str:

@@ -159,10 +159,12 @@ class SizeReport:
                          for f in fields(self))
 
 
-def size_report(pair: TreePair) -> SizeReport:
-    n = pair.n
+def size_report(pair) -> SizeReport:
+    """The report of one BpTree, or of a TreePair's tree 1."""
+    tree = pair.t1 if isinstance(pair, TreePair) else pair
+    n = tree.n_nodes
     bp = 2 * n
-    support = pair.t1.support_bits()
+    support = tree.support_bits()
     map_bits = 32 * n
     return SizeReport(bp, support, map_bits, bp + support + map_bits,
                       192 * n - 64)

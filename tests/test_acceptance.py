@@ -52,7 +52,7 @@ def test_criterion_1_fixture_walkthrough():
         assert erf(pair23).raw == 2
 
         pair45 = parse_pair(T4, T5)
-        code = pair45.code_list()
+        code = pair45.code_map.tolist()
         assert code == [0, 0, 0, 9, 7, 10, 0, 3, 4, 5]
 
         # clusters {A,B}: T4 indices 4 and 5 map to T5 indices 9 and 7;

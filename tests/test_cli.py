@@ -113,6 +113,8 @@ def test_dist_exit_codes(nwk):
                    "--emit-common").returncode == 3
     assert run_cli("dist", a, "/nonexistent/x.nwk").returncode == 1
     assert run_cli("dist", a, a, "--metric", "hamming").returncode == 2
+    comment = nwk("comment", "(A[&x],B);")
+    assert run_cli("dist", comment, comment).returncode == 2
 
 
 def test_dist_unary_node_exits_2(nwk):
@@ -151,7 +153,7 @@ def test_gen_parses_back(nwk):
         text = generate_tree_text(30, seed, full=True, weights=True)
         tree, labels, w = parse_tree(text, weighted=True)
         assert tree.num_leaves(1) == 30
-        assert len(labels) == tree.n_nodes
+        assert all(labels.name_of(i) for i in range(1, tree.n_nodes + 1))
         assert w is not None
 
 
@@ -269,6 +271,15 @@ def test_pack_report_matches_library(nwk):
     r = run_cli("pack", src, "/dev/null", "--report")
     assert r.returncode == 0
     assert r.stdout.strip() == str(size_report(parse_pair(T4, T4)))
+
+
+def test_pack_report_partial_labels(nwk, tmp_path):
+    # a tree with some internal labels is neither leaf- nor fully
+    # labelled; its report needs no labelling mode
+    src = nwk("part", "((A,B)X,(C,D));")
+    r = run_cli("pack", src, str(tmp_path / "part.sbpt"), "--report")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[0] == "bp_bits 14"
 
 
 def test_unpack_corrupt(tmp_path):

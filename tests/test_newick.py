@@ -1,6 +1,7 @@
 """Parser tests: frozen join tables, error offsets, round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from bprf.newick import (
     LabelMismatchError,
     ModeError,
     ParseError,
-    has_internal_labels,
     parse_pair,
     parse_tree,
     write_newick,
 )
+
+from bprf.cli import generate_pair_texts
 
 from conftest import assign_labels, encode_bits, random_topology, to_newick
 
@@ -37,14 +39,10 @@ def test_bit_encoding():
 def test_labels_by_preorder_index():
     tree, labels, w = parse_tree(T4)
     assert w is None
-    assert len(labels) == 10
     assert labels.name_of(1) is None
     assert labels.name_of(4) == "A"
+    assert labels.name_of(6) == "C"
     assert labels.name_of(10) == "F"
-    assert labels.index_of("C") == 6
-    with pytest.raises(KeyError):
-        labels.index_of("Z")
-    assert labels.labelled_count() == 6
 
 
 def test_code_map_frozen():
@@ -52,7 +50,6 @@ def test_code_map_frozen():
     assert pair.mode == "leaf"
     assert pair.code_map.dtype == np.int32
     assert pair.code_map.tolist() == [0, 0, 0, 9, 7, 10, 0, 3, 4, 5]
-    assert pair.code_list() == pair.code_map.tolist()
     assert pair.n == 10
     assert not pair.weighted
 
@@ -62,9 +59,10 @@ def test_code_map_full_mode():
     assert pair.mode == "full"
     # every slot is mapped and the mapping preserves labels
     assert all(pair.code_map > 0)
+    labels1, labels2 = parse_tree(T2)[1], parse_tree(T3)[1]
     for i in range(1, pair.n + 1):
         j = int(pair.code_map[i - 1])
-        assert pair.labels2.name_of(j) == pair.labels1.name_of(i)
+        assert labels2.name_of(j) == labels1.name_of(i)
 
 
 def test_weights_and_sum():
@@ -129,6 +127,9 @@ def test_weight_forms():
     ("(A,B valid);", 5, "unexpected label"),
     ("(A:1:2,B);", 4, "unexpected weight"),
     ("(:1,B);", 1, "unexpected weight"),
+    ("(A[&x],B);", 2, "comments are not supported"),
+    ("(A,B)[&R];", 5, "comments are not supported"),
+    ("('A B',C);", 1, "quoted labels are not supported"),
 ])
 def test_parse_errors(text, offset, what):
     with pytest.raises(ParseError) as ei:
@@ -176,6 +177,15 @@ def test_label_mismatch():
     assert "'C'" in str(ei.value)
     assert ei.value.offset == 6
 
+    # the offset of a tree-2 label missing from tree 1 is its token's
+    for a, b, mode, label, offset in (
+            ("((A,B)X,C)R;", "((A,B)Z,C)R;", "full", "'Z'", 6),
+            ("((A,B),(C,D));", "((A,B),(C, E));", "leaf", "'E'", 11)):
+        with pytest.raises(LabelMismatchError) as ei:
+            parse_pair(a, b, mode=mode)
+        assert (ei.value.tree_index, ei.value.offset) == (2, offset)
+        assert label in str(ei.value)
+
 
 def test_mode_validation():
     with pytest.raises(ModeError) as ei:
@@ -186,6 +196,16 @@ def test_mode_validation():
         parse_pair("((A,B)X,C)R;", "((A,B),C)R;", mode="full")
     assert ei.value.offset == 1 and ei.value.tree_index == 2
 
+    # an unlabelled node is reported at its '(', past weights and
+    # whitespace
+    for a, b, k, offset in (
+            ("((A:1, B:2)X:1,(C,D))R;", "((A,B)X,(C,D)Y)R;", 1, 15),
+            ("((A,B)X,(C,D)Y)R;", "(\n (A:1,B:2)X:1 ,( C , D ) )R;", 2, 17)):
+        with pytest.raises(ModeError) as ei:
+            parse_pair(a, b, mode="full")
+        assert (ei.value.tree_index, ei.value.offset) == (k, offset)
+        assert "unlabelled node" in str(ei.value)
+
     with pytest.raises(ValueError):
         parse_pair(T4, T5, mode="strict")
 
@@ -195,8 +215,6 @@ def test_mode_auto():
     assert parse_pair(T2, T3, mode="auto").mode == "full"
     with pytest.raises(ModeError):
         parse_pair(T2, T4, mode="auto")
-    assert has_internal_labels(T2)
-    assert not has_internal_labels(T4)
 
 
 def test_write_newick_fixed():
@@ -204,6 +222,21 @@ def test_write_newick_fixed():
     assert write_newick(tree, labels, w) == \
         "(((B:0.2,C:0.2)W:0.3,D:0.5)X:0.6,(A:0.5,E:0.5)Y:0.6)Z;"
     assert write_newick(tree, labels) == "(((B,C)W,D)X,(A,E)Y)Z;"
+
+
+def test_pair_retains_few_bits_per_node():
+    # the pair keeps two encodings, the code map and the weights; the
+    # label strings and the join table die inside parse_pair
+    for full, bound in ((False, 128), (True, 256)):
+        a, b = generate_pair_texts(10_000, 3, full=full, weights=full)
+        tracemalloc.start()
+        try:
+            pair = parse_pair(a, b, mode="full" if full else "leaf",
+                              weighted=full)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held * 8 / pair.n < bound
 
 
 def test_whitespace_tolerated():
@@ -240,15 +273,17 @@ def test_leaf_join_random(seed, n_leaves):
     r2 = random_topology(rng, n_leaves, "mixed")
     assign_labels(r1, rng)
     assign_labels(r2, rng)
-    pair = parse_pair(to_newick(r1), to_newick(r2))
+    text1, text2 = to_newick(r1), to_newick(r2)
+    pair = parse_pair(text1, text2)
+    labels1, labels2 = parse_tree(text1)[1], parse_tree(text2)[1]
 
     nonzero = 0
     for i in range(1, pair.n + 1):
         j = int(pair.code_map[i - 1])
-        name = pair.labels1.name_of(i)
+        name = labels1.name_of(i)
         if name is None:
             assert j == 0
         else:
             nonzero += 1
-            assert pair.labels2.name_of(j) == name
+            assert labels2.name_of(j) == name
     assert nonzero == n_leaves

@@ -57,7 +57,7 @@ def test_unlabelled_tree_packs():
     assert struct.unpack("<I", data[_HEADER + 1:_HEADER + 5])[0] == 0
     t2, l2, w2 = unpack(data)
     assert t2.bits.to01().tolist() == [1, 1, 0, 1, 0, 0]
-    assert l2.labelled_count() == 0
+    assert [l2.name_of(i) for i in (1, 2, 3)] == [None, None, None]
 
 
 def test_pack_deterministic():
@@ -178,9 +178,8 @@ def _spine_pair(n_nodes):
     k = n_nodes - 1
     bits = np.array([1] * k + [1, 0] + [0] * k, dtype=np.uint8)
     tree = BpTree(bits)
-    labels = LabelTable([None] * n_nodes)
-    return TreePair(tree, tree, labels, labels,
-                    np.zeros(n_nodes, dtype=np.int32), None, None, "leaf")
+    return TreePair(tree, tree, np.zeros(n_nodes, dtype=np.int32),
+                    None, None, "leaf")
 
 
 def test_support_overhead_declines():
