@@ -1,8 +1,8 @@
-"""Command line front end: dist, gen, bench, pack, unpack.
+"""Command line front end: dist, gen, pack, unpack.
 
-Exit codes: 0 success, 1 I/O failure, 2 malformed input (newick or
-packed bytes; also argparse usage errors), 3 metric/mode mismatch,
-4 label-set mismatch.
+Exit codes: 0 success, 1 I/O failure, 2 malformed input (newick, text
+that is not UTF-8, or packed bytes; also argparse usage errors),
+3 metric/mode mismatch, 4 label-set mismatch.
 
 The generator draws a uniform leaf-split topology: start from a single
 leaf and repeatedly split a uniformly chosen leaf into an internal node
@@ -10,20 +10,11 @@ with fresh leaf children, two of them in binary mode and 2..4 in random
 mode.  One seeded stream drives, in order: the splits, the leaf-label
 shuffle, and the per-edge weights in pre-order, so output is a pure
 function of (leaves, seed, flags).
-
-Bench runs every (size, pair, metric, algorithm) cell twice: once
-untraced for wall-clock phase timings, once under the tracked allocator
-for the peak byte count, so tracing overhead never pollutes the
-timings.
 """
 
 import argparse
-import csv
 import random
 import sys
-import time
-import tracemalloc
-from dataclasses import dataclass
 
 from .baseline import PlainNode, _preorder, day_rf_trees, parse_plain
 from .distance import _require, compute
@@ -133,27 +124,19 @@ def generate_pair_texts(n_leaves, seed, arity="binary", full=False,
 
 
 # ----------------------------------------------------------------------
-# measurement
+# subcommands
 
 
-@dataclass
-class BenchRecord:
-    n_leaves: int
-    seed: int
-    metric: str
-    algorithm: str
-    parse_seconds: float
-    distance_seconds: float
-    peak_tracked_bytes: int
-    value: str
-
-    HEADER = ("n_leaves,seed,metric,algorithm,parse_seconds,"
-              "distance_seconds,peak_tracked_bytes,value")
-
-    def row(self):
-        return [self.n_leaves, self.seed, self.metric, self.algorithm,
-                f"{self.parse_seconds:.6f}", f"{self.distance_seconds:.6f}",
-                self.peak_tracked_bytes, self.value]
+def _read(path, tree_index=1):
+    """A file's text, line ends translated as text-mode reading does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"byte 0x{data[e.start]:02x} is not valid UTF-8",
+                         e.start, tree_index) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _format(result, raw=False):
@@ -162,74 +145,9 @@ def _format(result, raw=False):
     return f"{result.raw:g}" if raw else f"{result.halved:g}"
 
 
-def _run_phases(text1, text2, metric, algo):
-    mode = "full" if metric in ("erf", "werf") else "leaf"
-    weighted = metric in ("wrf", "werf")
-    if algo == "day":
-        t0 = time.perf_counter()
-        roots = (parse_plain(text1), parse_plain(text2))
-        t1 = time.perf_counter()
-        result = day_rf_trees(*roots)
-        t2 = time.perf_counter()
-    else:
-        t0 = time.perf_counter()
-        pair = parse_pair(text1, text2, mode=mode, weighted=weighted)
-        t1 = time.perf_counter()
-        result = compute(pair, metric, algo)
-        t2 = time.perf_counter()
-    return t1 - t0, t2 - t1, result
-
-
-def run_record(n_leaves, seed, metric, algo, arity="binary") -> BenchRecord:
-    full = metric in ("erf", "werf")
-    weighted = metric in ("wrf", "werf")
-    text1, text2 = generate_pair_texts(n_leaves, seed, arity, full, weighted)
-    parse_s, dist_s, result = _run_phases(text1, text2, metric, algo)
-    tracemalloc.start()
-    try:
-        _run_phases(text1, text2, metric, algo)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return BenchRecord(n_leaves, seed, metric, algo, parse_s, dist_s, peak,
-                       _format(result))
-
-
-def profile_phases(text1, text2, metric="rf", algo="postorder"):
-    """Tracked-allocator view of the two phases: peak during parse,
-    bytes retained when parsing ends, and peak during the distance walk."""
-    mode = "full" if metric in ("erf", "werf") else "leaf"
-    weighted = metric in ("wrf", "werf")
-    tracemalloc.start()
-    try:
-        pair = parse_pair(text1, text2, mode=mode, weighted=weighted)
-        parse_end_current, parse_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        result = compute(pair, metric, algo)
-        dist_end_current, dist_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return {
-        "parse_peak": parse_peak,
-        "parse_end_current": parse_end_current,
-        "dist_peak": dist_peak,
-        "dist_end_current": dist_end_current,
-        "result": result,
-    }
-
-
-# ----------------------------------------------------------------------
-# subcommands
-
-
-def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def cmd_dist(args):
-    text1 = _read(args.file1)
-    text2 = _read(args.file2)
+    text1 = _read(args.file1, 1)
+    text2 = _read(args.file2, 2)
     weighted = args.metric in ("wrf", "werf")
     if args.algo == "day":
         if args.metric != "rf":
@@ -265,60 +183,6 @@ def _positive_int(text):
     if n < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return n
-
-
-def _parse_sizes(spec):
-    """Leaf counts: "100,500" or "10000..100000:10000" or a mix."""
-    sizes = []
-    try:
-        for part in spec.split(","):
-            part = part.strip()
-            if ".." in part:
-                span, sep, step_s = part.partition(":")
-                if not sep:
-                    raise ValueError(f"range {part!r} needs :STEP")
-                lo_s, _, hi_s = span.partition("..")
-                lo, hi, step = int(lo_s), int(hi_s), int(step_s)
-                if lo < 1 or step < 1 or hi < lo:
-                    raise ValueError(f"bad range {part!r}")
-                sizes.extend(range(lo, hi + 1, step))
-            else:
-                sizes.append(int(part))
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-    if not sizes or min(sizes) < 1:
-        raise argparse.ArgumentTypeError("sizes must be positive")
-    return sizes
-
-
-def _name_list(allowed):
-    def convert(text):
-        names = [s.strip() for s in text.split(",")]
-        for s in names:
-            if s not in allowed:
-                raise argparse.ArgumentTypeError(f"unknown name {s!r}")
-        return names
-    return convert
-
-
-def cmd_bench(args):
-    out = sys.stdout if args.csv == "-" else open(args.csv, "w", newline="")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(BenchRecord.HEADER.split(","))
-        for n in args.sizes:
-            for i in range(args.pairs):
-                for metric in args.metrics:
-                    for algo in args.algos:
-                        if algo == "day" and metric != "rf":
-                            continue
-                        rec = run_record(n, args.seed + i, metric, algo,
-                                         args.arity)
-                        writer.writerow(rec.row())
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
 
 
 def cmd_pack(args):
@@ -372,20 +236,6 @@ def build_parser():
     g.add_argument("--weights", action="store_true")
     g.add_argument("--arity", choices=("binary", "random"), default="binary")
     g.set_defaults(func=cmd_gen)
-
-    b = sub.add_parser("bench", help="timing/memory grid as CSV")
-    b.add_argument("--sizes", type=_parse_sizes, required=True,
-                   help="comma list of leaf counts; A..B:STEP for a range")
-    b.add_argument("--pairs", type=_positive_int, default=5)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--metrics", type=_name_list(("rf", "erf", "wrf", "werf")),
-                   default=["rf"])
-    b.add_argument("--algos",
-                   type=_name_list(("postorder", "nextsibling", "day")),
-                   default=["postorder"])
-    b.add_argument("--arity", choices=("binary", "random"), default="binary")
-    b.add_argument("--csv", default="-", help="output path, '-' for stdout")
-    b.set_defaults(func=cmd_bench)
 
     k = sub.add_parser("pack", help="newick file to packed bytes")
     k.add_argument("input")

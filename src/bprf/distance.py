@@ -17,13 +17,15 @@ Unweighted results count internal clusters only, the root included; it
 always matches because both trees span the same label set.  Weighted
 results are the sum of |w1(c) - w2(c)| over all clusters c, a cluster
 missing from a tree weighing 0 there.  One math.fsum adds |w| for every
-weight of both trees and -2 * min(|w1(c)|, |w2(c)|) for every shared
+weight of both trees and -min(|w1(c)|, |w2(c)|), twice, for every shared
 cluster whose two weights have the same sign; weights of opposite signs
 cost |w1(c)| + |w2(c)| as they stand.  Every term is exact and fsum
 rounds the exact sum once, which makes the identity exactly 0.0 and the
-result exactly symmetric and never negative.  Leaf singletons are shared
-by the label map itself in leaf mode; in fully-labelled mode a leaf's
-image must be a leaf too, which is the size test again.
+result exactly symmetric and never negative.  When a partial sum leaves
+the float range, the same terms are summed as fractions and rounded
+once, to inf if the sum itself lies past the range.  Leaf singletons
+are shared by the label map itself in leaf mode; in fully-labelled mode
+a leaf's image must be a leaf too, which is the size test again.
 
 "postorder" and "nextsibling", the names of two earlier tree-1 walks,
 both name this sweep; a result echoes the name it was asked for.  Every
@@ -82,6 +84,17 @@ def _require(pair: TreePair, metric: str):
         raise ModeError(f"metric '{metric}' needs weights on the pair")
 
 
+def _fraction_sum(terms) -> float:
+    """The exact sum of finite floats, rounded once; inf past the float
+    range.  Only sums whose partial sums overflow fsum come here."""
+    from fractions import Fraction
+    total = sum(map(Fraction, terms))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
+
+
 def _sweep(pair: TreePair, metric: str, impl: str,
            capture: bool) -> DistanceResult:
     if impl not in IMPLS:
@@ -107,7 +120,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     prev = 0
     acc = None      # fold of the node on top; None before any child
     folds = probes = equal = 0
-    shared = []     # -2 * min(|w1|, |w2|) per same-sign shared cluster
+    shared = []     # -min(|w1|, |w2|) per same-sign shared cluster
     common = [] if capture else None
 
     for bit in pair.t1.bits.to01().tobytes():
@@ -140,7 +153,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
             if matched and weighted:
                 a, b = w1[p - 1], w2[j - 1]
                 if (a < 0) == (b < 0):
-                    shared.append(-2 * min(abs(a), abs(b)))
+                    shared.append(-min(abs(a), abs(b)))
             if outer is not None:
                 acc = lca2(outer, acc)
                 folds += 1
@@ -152,7 +165,12 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     else:
         ops.num_leaves = probes
     if weighted:
-        raw = math.fsum(chain(map(abs, w1), map(abs, w2), shared))
+        def terms():
+            return chain(map(abs, w1), map(abs, w2), shared, shared)
+        try:
+            raw = math.fsum(terms())
+        except OverflowError:
+            raw = _fraction_sum(terms())
         halved = None
     else:
         internal1 = pair.t1.n_nodes - leaves

@@ -12,7 +12,8 @@ scanning the text again.
 
 Label syntax: a maximal run of characters excluding '(' ')' ',' ':' ';'
 '[' ']' "'" and whitespace.  Weight syntax: ':' immediately followed by
-a decimal literal with optional sign, fraction, and exponent.  Comments
+a finite decimal literal with optional sign, fraction, and exponent; a
+literal past the float range, such as 1e999, is an error.  Comments
 ('[...]') and quoted labels are not supported: their first '[', ']' or
 "'" is a parse error.  A weight on the root is accepted and discarded,
 the root has no entering edge.  Every internal node, the root included,
@@ -26,13 +27,16 @@ neither does, and refuses to guess otherwise.
 """
 
 import re
+from math import isfinite
 
 import numpy as np
 
 from .bp import BpTree
 
-_TOKEN = re.compile(r"[ \t\r\n]+|([(),;])|:([^(),;:\s\[\]']*)"
-                    r"|([^(),;:\s\[\]']+)|([\[\]'])")
+_LABEL_CHAR = r"[^(),;:\s\[\]']"
+_TOKEN = re.compile(rf"[ \t\r\n]+|([(),;])|:({_LABEL_CHAR}*)"
+                    rf"|({_LABEL_CHAR}+)|([\[\]'])")
+_LABEL = re.compile(f"{_LABEL_CHAR}+")
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z")
 
 
@@ -158,9 +162,13 @@ def _scan(text, tree_index):
                 raise ParseError("unexpected weight", off, tree_index)
             if not _NUMBER.match(wtok):
                 raise ParseError(f"malformed weight ':{wtok}'", off, tree_index)
+            w = float(wtok)
+            if not isfinite(w):
+                raise ParseError(f"weight ':{wtok}' is not finite", off,
+                                 tree_index)
             any_weight = True
             if cur != 1:
-                weights[cur - 1] = float(wtok)
+                weights[cur - 1] = w
             can_weight = False
             can_label = False
         elif delim == "(":

@@ -10,8 +10,11 @@ are the usual base-128 with continuation bit.
 
 Decoding validates everything it touches: magic, version, flag bits,
 truncation at each step, pad bits, structural validity of the bit
-vector, label indexes and duplicates, and trailing garbage.  The
-contract is decode(encode(x)) == x down to the bit.
+vector, label indexes and duplicates, and trailing garbage.  It also
+accepts only what write_newick can write back as the same tree: every
+name is one non-empty newick label token, no name sits on two nodes,
+and every weight is finite.  The contract is decode(encode(x)) == x
+down to the bit.
 """
 
 import struct
@@ -20,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bp import BpTree
-from .newick import LabelTable, TreePair
+from .newick import _LABEL, LabelTable, TreePair
 
 MAGIC = b"SBPT"
 VERSION = 1
@@ -122,6 +125,7 @@ def unpack(data: bytes):
     if count > n:
         raise PackError("label count exceeds node count")
     names = [None] * n
+    seen = set()
     for _ in range(count):
         i = r.varint("label index")
         if not 1 <= i <= n:
@@ -130,14 +134,24 @@ def unpack(data: bytes):
             raise PackError(f"duplicate label for node {i}")
         ln = r.varint("label length")
         try:
-            names[i - 1] = bytes(r.take(ln, "label bytes")).decode("utf-8")
+            name = bytes(r.take(ln, "label bytes")).decode("utf-8")
         except UnicodeDecodeError:
             raise PackError(f"label for node {i} is not UTF-8") from None
+        if not _LABEL.fullmatch(name):
+            raise PackError(f"label {name!r} for node {i} is not a newick "
+                            "label")
+        if name in seen:
+            raise PackError(f"label {name!r} repeated on node {i}")
+        seen.add(name)
+        names[i - 1] = name
 
     w = None
     if flags & _FLAG_WEIGHTS:
         wb = r.take(8 * n, "weight block")
         w = np.frombuffer(bytes(wb), dtype="<f8").astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise PackError(f"weight of node {bad[0] + 1} is not finite")
     if r.pos != len(data):
         raise PackError("trailing bytes after payload")
     return tree, LabelTable(names), w

@@ -10,16 +10,12 @@ seconds.
 import math
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
 from bprf.baseline import day_rf, naive_metric
-from bprf.cli import (
-    _run_phases,
-    generate_pair_texts,
-    generate_tree_text,
-    profile_phases,
-)
+from bprf.cli import generate_pair_texts, generate_tree_text
 from bprf.distance import compute, erf, rf_nextsibling, rf_postorder, werf, wrf
 from bprf.newick import LabelTable, parse_pair
 from bprf.treeio import pack, size_report
@@ -183,7 +179,7 @@ def test_criterion_4_space_accounting():
 def test_criterion_5_runtime_scaling():
     with criterion(5, "distance phase 10k -> 100k leaves scales <= 13x, "
                       "each 100k run < 10 s"):
-        _run_phases(*generate_pair_texts(2000, 0), "rf", "postorder")  # warmup
+        compute(parse_pair(*generate_pair_texts(2000, 0)), "rf")  # warmup
         times = {(n, algo): [] for n in (10_000, 100_000)
                  for algo in ("postorder", "nextsibling")}
         # each seed's 10k and 100k pairs run back to back, so a load spike
@@ -192,7 +188,10 @@ def test_criterion_5_runtime_scaling():
             for n in (10_000, 100_000):
                 a, b = generate_pair_texts(n, seed)
                 for algo in ("postorder", "nextsibling"):
-                    _, dist_s, res = _run_phases(a, b, "rf", algo)
+                    pair = parse_pair(a, b)
+                    t0 = time.perf_counter()
+                    compute(pair, "rf", algo)
+                    dist_s = time.perf_counter() - t0
                     times[n, algo].append(dist_s)
                     if n == 100_000:
                         assert dist_s < 10.0, (n, seed, algo, dist_s)
@@ -208,9 +207,17 @@ def test_criterion_6_memory_profile_shape():
     with criterion(6, "parse-phase allocation peak exceeds distance-phase "
                       "usage, dropping at the boundary"):
         a, b = generate_pair_texts(100_000, 3)
-        prof = profile_phases(a, b)
-        assert prof["parse_peak"] > prof["dist_peak"]
-        assert prof["parse_end_current"] < prof["parse_peak"]
+        tracemalloc.start()
+        try:
+            pair = parse_pair(a, b)
+            parse_end, parse_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            compute(pair, "rf")
+            dist_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parse_peak > dist_peak
+        assert parse_end < parse_peak
 
 
 def test_criterion_7_operation_count_bounds():

@@ -1,8 +1,8 @@
 """End-to-end checks of the bprf command line, run as subprocesses."""
 
-import csv
-import io
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +11,7 @@ import pytest
 
 import bprf
 from bprf.baseline import parse_plain
-from bprf.cli import generate_pair_texts, generate_tree_text, profile_phases
+from bprf.cli import build_parser, generate_pair_texts, generate_tree_text
 from bprf.newick import parse_pair, parse_tree
 from bprf.treeio import size_report
 
@@ -100,7 +100,7 @@ def test_dist_emit_common(nwk):
     assert pairs == {(2, 6), (7, 2), (1, 1)}
 
 
-def test_dist_exit_codes(nwk):
+def test_dist_exit_codes(nwk, tmp_path):
     a = nwk("a", T4)
     bad = nwk("bad", "((A,B);")
     assert run_cli("dist", a, bad).returncode == 2
@@ -115,6 +115,17 @@ def test_dist_exit_codes(nwk):
     assert run_cli("dist", a, a, "--metric", "hamming").returncode == 2
     comment = nwk("comment", "(A[&x],B);")
     assert run_cli("dist", comment, comment).returncode == 2
+    # a weight past the float range once crashed wrf in fsum (exit 1)
+    huge = nwk("huge", "((A:1,B:1):1e999,C:1);")
+    r = run_cli("dist", huge, huge, "--metric", "wrf")
+    assert r.returncode == 2 and "offset 10" in r.stderr, r.stderr
+    # bytes that are not UTF-8 once raised UnicodeDecodeError (exit 1)
+    latin = tmp_path / "latin"
+    latin.write_bytes(b"(A,B\xff);")
+    r = run_cli("dist", a, str(latin))
+    assert r.returncode == 2
+    assert "tree 2, offset 4" in r.stderr, r.stderr
+    assert run_cli("pack", str(latin), os.devnull).returncode == 2
 
 
 def test_dist_unary_node_exits_2(nwk):
@@ -200,56 +211,14 @@ def test_gen_pair_full_same_internal_count():
         assert p.t1.n_nodes == p.t2.n_nodes
 
 
-# ----------------------------------------------------------------------
-# bench
-
-
-def test_bench_csv_shape(tmp_path):
-    out = tmp_path / "b.csv"
-    r = run_cli("bench", "--sizes", "60,80", "--pairs", "2",
-                "--metrics", "rf,erf", "--algos", "postorder,day",
-                "--seed", "5", "--csv", str(out))
-    assert r.returncode == 0
-    rows = list(csv.reader(io.StringIO(out.read_text())))
-    assert rows[0] == ("n_leaves,seed,metric,algorithm,parse_seconds,"
-                       "distance_seconds,peak_tracked_bytes,value"
-                       ).split(",")
-    # day rows exist for rf only: 2 sizes * 2 pairs * (2 + 1) combos
-    assert len(rows) - 1 == 2 * 2 * 3
-    for n, seed, metric, algo, ps, ds, peak, value in rows[1:]:
-        assert metric in ("rf", "erf")
-        assert (metric, algo) != ("erf", "day")
-        assert float(ps) >= 0 and float(ds) >= 0
-        assert int(peak) > 0
-        float(value)
-    # same (n, seed, metric) across algorithms means same pair: same value
-    by_key = {}
-    for n, seed, metric, algo, ps, ds, peak, value in rows[1:]:
-        by_key.setdefault((n, seed, metric), set()).add(value)
-    assert all(len(v) == 1 for v in by_key.values())
-
-
-def test_bench_stdout_and_range():
-    r = run_cli("bench", "--sizes", "40..60:20", "--pairs", "1")
-    assert r.returncode == 0
-    lines = r.stdout.strip().splitlines()
-    assert len(lines) == 3
-    assert lines[1].startswith("40,") and lines[2].startswith("60,")
-
-
-def test_bench_bad_sizes():
-    assert run_cli("bench", "--sizes", "10..5:1").returncode == 2
-    assert run_cli("bench", "--sizes", "0").returncode == 2
-    assert run_cli("bench", "--sizes", "100", "--metrics",
-                   "nope").returncode == 2
-
-
-def test_profile_phases_reports_result():
-    t1, t2 = generate_pair_texts(200, 1)
-    prof = profile_phases(t1, t2)
-    assert prof["result"].metric == "rf"
-    assert prof["parse_peak"] >= prof["parse_end_current"] > 0
-    assert prof["dist_peak"] > 0
+def test_subcommands_match_readme():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"dist", "gen", "pack", "unpack"}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    words = set(re.findall(r"\bbprf (\w+)", section))
+    assert words and words <= set(sub.choices), words
 
 
 # ----------------------------------------------------------------------

@@ -162,6 +162,24 @@ def test_signed_weights_regression():
         assert naive_metric(x, y, "wrf") == 3.0
 
 
+def test_weights_near_float_max():
+    # sums of these weights overflow a float; the answers do not.  They
+    # once raised OverflowError inside math.fsum
+    a = "((A:1,B:1):1e308,(C:1,D:1):1e308);"
+    b = "((A:1,B:1):1e308,(C:1,D:1):1.5e308);"
+    fa = "((A:1,B:1)X:1e308,(C:1,D:1)Y:1e308)R;"
+    for impl in ("postorder", "nextsibling"):
+        assert wrf(parse_pair(a, a, weighted=True), impl=impl).raw == 0.0
+        full = parse_pair(fa, fa, mode="full", weighted=True)
+        assert werf(full, impl=impl).raw == 0.0
+        for x, y in ((a, b), (b, a)):
+            assert wrf(parse_pair(x, y, weighted=True), impl=impl).raw \
+                == 5e307 == naive_metric(x, y, "wrf")
+    # the result itself past the float range: {A,B} and {C,D} unmatched
+    c = "((A:1,C:1):1e308,(B:1,D:1):1e308);"
+    assert wrf(parse_pair(a, c, weighted=True)).raw == float("inf")
+
+
 def _signed_tree(rng, n_leaves, full, internal=None):
     """A random tree with weights in [-1, 1); in fully-labelled mode it is
     redrawn until it has the given number of internal nodes."""

@@ -130,6 +130,8 @@ def test_weight_forms():
     ("(A[&x],B);", 2, "comments are not supported"),
     ("(A,B)[&R];", 5, "comments are not supported"),
     ("('A B',C);", 1, "quoted labels are not supported"),
+    ("(A:1e999,B);", 2, "not finite"),
+    ("(A,B):-1e400;", 5, "not finite"),
 ])
 def test_parse_errors(text, offset, what):
     with pytest.raises(ParseError) as ei:

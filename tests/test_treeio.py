@@ -134,6 +134,16 @@ def test_unpack_errors():
     with pytest.raises(PackError, match="truncated weight"):
         unpack(wgood[:-5])
 
+    # weights write_newick would print as ':nan' or ':inf', which the
+    # parser rejects
+    tree, labels, w = parse_tree("((A:1,B:2):3,C:4);", weighted=True)
+    for k, x in ((3, float("nan")), (2, float("inf")), (1, -float("inf"))):
+        bad = w.copy()
+        bad[k - 1] = x
+        with pytest.raises(PackError, match=f"weight of node {k} is not "
+                                            "finite"):
+            unpack(pack(tree, labels, bad))
+
 
 def test_unpack_rejects_non_tree_bits():
     # "1010" drops to depth zero mid-sequence: a two-tree forest
@@ -161,6 +171,17 @@ def test_unpack_rejects_bad_label_block():
     doctored = head + struct.pack("<I", count + 1) + entries + entries[:3]
     with pytest.raises(PackError, match="duplicate"):
         unpack(doctored)
+
+    # names write_newick could not write back as the same tree: once
+    # these unpacked, and the text was rejected, misread, or changed
+    tree = parse_tree("((A,B),C);")[0]
+    for names, what in (([None, None, "A", "A", "C"], "repeated"),
+                        ([None, None, "A", "", "C"], "not a newick label"),
+                        ([None, None, "A", "a b", "C"], "not a newick label"),
+                        ([None, None, "A", "x,y", "C"], "not a newick label"),
+                        ([None, "A", "A[1]", "B", "C"], "not a newick label")):
+        with pytest.raises(PackError, match=what):
+            unpack(pack(tree, LabelTable(names)))
 
 
 def test_size_report_frozen():
