@@ -14,11 +14,12 @@ into one key; the strict parser rejects them.
 """
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from .distance import DistanceResult, OpCounts
-from .newick import LabelMismatchError
+from .newick import _NUMBER, LabelMismatchError
 
 
 class PlainNode:
@@ -32,7 +33,10 @@ class PlainNode:
 
 def parse_plain(text: str) -> PlainNode:
     """Minimal pointer-tree parse; inputs are assumed to have passed the
-    strict parser already.  A weight on the root is dropped to match it."""
+    strict parser already.  A weight on the root is dropped to match it.
+    Weights are checked as the strict parser checks them: a literal that
+    is not a finite decimal, such as nan, inf, 1_0 or 1e999, raises
+    ValueError."""
     i, n = 0, len(text)
     stack = []
     cur = None
@@ -59,7 +63,11 @@ def parse_plain(text: str) -> PlainNode:
             j = i + 1
             while j < n and text[j] not in "(),;:" and not text[j].isspace():
                 j += 1
-            cur.weight = float(text[i + 1:j])
+            literal = text[i + 1:j]
+            if not (_NUMBER.match(literal) and isfinite(float(literal))):
+                raise ValueError(f"weight ':{literal}' at offset {i} is not "
+                                 "a finite decimal literal")
+            cur.weight = float(literal)
             i = j
         else:
             j = i

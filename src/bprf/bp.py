@@ -21,11 +21,12 @@ search: it closes at the last bit and is every node's ancestor.
 A top index lists, level by level, where the nodes of the first few levels
 open and close: at most 16 levels and one node in 128.  find_close reads a
 top node's answer from it, and lca walks down it with one bisection per
-level for as long as one node holds both positions.  Folds over unrelated
-trees climb to these few high nodes, so most of the distance sweep's tree-2
-queries end there.  Below the top, lca needs only the least excess between
-its two positions, not where it lies: the ancestor is the nearest node
-opening before the left position at that depth.
+level for as long as one node holds both positions.  A query about a large
+cluster ends there.  The distance sweep asks tree 2 only about candidate
+clusters, and on related trees most of those lie below these levels.
+Below the top, lca needs only the least excess between its two
+positions, not where it lies: the ancestor is the nearest node opening
+before the left position at that depth.
 """
 
 from bisect import bisect_right

@@ -2,16 +2,25 @@
 
 Tree 1's parenthesis sequence already is its depth-first walk, so the
 sweep reads it once, left to right, with one frame stack and no
-navigation query.  A 1 opens the next node in pre-order and saves the
-fold of its parent; a 0 closes the node on top.  Closing right after an
-opening bit marks a leaf, the nodes opened since the node's own opening
-bit give its subtree size, and the leaves closed since then its leaf
-count.  Each closed node's tree-2 image is the lca of its children's
-images, and in fully-labelled mode of its own label's image too, which
-seeds the fold when the node opens; that image then folds into the
-parent.  A cluster is shared exactly when the folded node spans no more
-than the original: leaf counts are compared in leaf mode, subtree sizes
-in fully-labelled mode.
+navigation query.  It reads the bits as tokens: an opening bit that a
+closing bit follows is a leaf, any other opening bit opens an internal
+node and saves its parent's frame, and any other closing bit closes the
+internal node on top.
+
+Whether a cluster is shared is decided by the interval test of Day's
+algorithm (W. H. E. Day, J. Classification 2, 1985), run on the succinct
+trees with no interval table.  Every element of a cluster gets a rank in
+tree 2: in leaf mode a leaf's rank among tree 2's leaves, in
+fully-labelled mode a node's tree-2 pre-order index.  A cluster of tree
+2 is then a contiguous range of ranks.  The sweep carries the least and
+greatest rank of the node on top as plain ints, and folds them into the
+parent when the node closes.  A tree-1 cluster can only be shared when
+hi - lo + 1 equals its leaf count (leaf mode) or its size
+(fully-labelled mode), so only those candidates ask tree 2 anything.  In
+leaf mode the lca of the leaves ranked lo and hi must have exactly that
+many leaves, and it is the match.  In fully-labelled mode the node whose
+pre-order index is lo must have exactly that subtree size; it is the
+match, and no lca is needed.
 
 Unweighted results count internal clusters only, the root included; it
 always matches because both trees span the same label set.  Weighted
@@ -25,19 +34,24 @@ result exactly symmetric and never negative.  When a partial sum leaves
 the float range, the same terms are summed as fractions and rounded
 once, to inf if the sum itself lies past the range.  Leaf singletons
 are shared by the label map itself in leaf mode; in fully-labelled mode
-a leaf's image must be a leaf too, which is the size test again.
+a leaf's image must be a leaf too.  Their terms come from numpy, outside
+the loop, and ask tree 2 nothing.
 
 "postorder" and "nextsibling", the names of two earlier tree-1 walks,
 both name this sweep; a result echoes the name it was asked for.  Every
-call reports how often it touched the tree-2 queries whose per-call cost
-is not constant; the counts back the traversal-bound tests.  Tree 1
-makes no query, so post_order_select and next_sibling stay 0.
+call reports how often it asked the tree-2 queries whose per-call cost
+is not constant: an lca and a num_leaves per leaf-mode candidate, a
+cluster_size per fully-labelled one.  The counts back the
+traversal-bound tests.  Tree 1 makes no query, so post_order_select and
+next_sibling stay 0.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from .newick import ModeError, TreePair
 
@@ -102,83 +116,108 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     extended = metric in ("erf", "werf")
     weighted = metric in ("wrf", "werf")
     t2 = pair.t2
-    code = pair.code_map.tolist()
-    w1 = pair.w1.tolist() if weighted else None
-    w2 = pair.w2.tolist() if weighted else None
+    code = pair.code_map
 
-    # tree-2 queries, looked up on every call so that a wrapper installed
-    # on BpTree sees them
-    pos2 = t2.pre_order_select
-    premap2 = t2.pre_order_map
-    lca2 = t2.lca
-    size2 = t2.cluster_size if extended else t2.num_leaves
+    # a leaf is an opening bit that a closing bit follows; lead marks the
+    # leaves' opening bits, leaf the leaves by pre-order index
+    bits1 = pair.t1.bits.to01()
+    lead1 = bits1[:-1] > bits1[1:]
+    leaf1 = lead1[bits1[:-1].view(bool)]
+    bits2 = t2.bits.to01()
+    lead2 = bits2[:-1] > bits2[1:]
+    leaf2 = lead2[bits2[:-1].view(bool)]
 
-    frames = []     # (pre-order index, leaves before it, parent's fold)
+    # tree 1 as tokens: 1 opens an internal node, 2 is a leaf, 0 closes an
+    # internal node
+    tokens = bits1.copy()
+    tokens[:-1] += lead1
+    tokens = tokens[np.insert(~lead1, 0, True)]
+
+    if extended:
+        # every node's own tree-2 pre-order index, in tree-1 pre-order
+        ranks = code.tolist()
+        step = 1
+
+        def confirm(lo, hi, span):
+            q = t2.pre_order_select(lo)
+            return lo if t2.cluster_size(q) == span else 0
+    else:
+        # every leaf's tree-2 leaf rank, in tree-1 leaf order; an internal
+        # node starts from its first leaf's rank without using it up
+        ranks = (np.cumsum(leaf2, dtype=np.int32) - 1)[code[leaf1] - 1]
+        ranks = ranks.tolist()
+        leafpos = np.flatnonzero(lead2) + 1
+        step = 0
+
+        def confirm(lo, hi, span):
+            q = t2.lca(int(leafpos[lo]), int(leafpos[hi]))
+            return t2.pre_order_map(q) if t2.num_leaves(q) == span else 0
+
+    frames = []     # (parent's lo, parent's hi, ranks used before, inner)
     push = frames.append
     pop = frames.pop
-    pre = leaves = 0
-    prev = 0
-    acc = None      # fold of the node on top; None before any child
-    folds = probes = equal = 0
-    shared = []     # -min(|w1|, |w2|) per same-sign shared cluster
-    common = [] if capture else None
+    k = 0           # ranks used so far
+    lo = hi = 0     # least and greatest rank of the node on top
+    inner = 0       # internal nodes opened so far
+    probes = 0
+    found = []      # (inner, tree-2 pre-order index) per shared cluster
 
-    for bit in pair.t1.bits.to01().tobytes():
-        if bit:
-            pre += 1
-            push((pre, leaves, acc))
-            acc = pos2(code[pre - 1]) if extended else None
+    for tok in tokens.tobytes():
+        if tok == 2:
+            r = ranks[k]
+            k += 1
+            if r < lo:
+                lo = r
+            elif r > hi:
+                hi = r
+        elif tok:
+            push((lo, hi, k, inner))
+            inner += 1
+            lo = hi = ranks[k]
+            k += step
         else:
-            p, before, outer = pop()
-            if prev:
-                # a leaf: shared by its label, and in fully-labelled mode
-                # only if its image is a leaf as well
-                leaves += 1
-                j = code[p - 1]
-                if acc is None:
-                    acc = pos2(j)
-                matched = weighted
-                if weighted and extended:
-                    probes += 1
-                    matched = size2(acc) == 1
-            else:
+            plo, phi, before, i = pop()
+            if hi - lo + before + 1 == k:
+                # the ranks are contiguous: a tree-2 cluster if one node
+                # spans exactly them
                 probes += 1
-                span = pre - p + 1 if extended else leaves - before
-                matched = size2(acc) == span
-                if matched:
-                    equal += 1
-                    j = premap2(acc)
-                    if capture:
-                        common.append((p, j))
-            if matched and weighted:
-                a, b = w1[p - 1], w2[j - 1]
-                if (a < 0) == (b < 0):
-                    shared.append(-min(abs(a), abs(b)))
-            if outer is not None:
-                acc = lca2(outer, acc)
-                folds += 1
-        prev = bit
+                j = confirm(lo, hi, k - before)
+                if j:
+                    found.append((i, j))
+            if plo < lo:
+                lo = plo
+            if phi > hi:
+                hi = phi
 
-    ops = OpCounts(lca=folds)
-    if extended:
-        ops.cluster_size = probes
-    else:
-        ops.num_leaves = probes
+    # tree-1 pre-order index of each shared cluster, from its inner count
+    ps = (np.flatnonzero(~leaf1) + 1)[[i for i, _ in found]]
+    js = np.array([j for _, j in found], dtype=np.int64)
+    ops = (OpCounts(cluster_size=probes) if extended
+           else OpCounts(lca=probes, num_leaves=probes))
     if weighted:
-        def terms():
-            return chain(map(abs, w1), map(abs, w2), shared, shared)
+        # leaf singletons are shared by the label map, in fully-labelled
+        # mode only when the leaf's image is a leaf as well
+        lp, lj = np.flatnonzero(leaf1), code[leaf1] - 1
+        if extended:
+            lp, lj = lp[leaf2[lj]], lj[leaf2[lj]]
+        a = pair.w1[np.concatenate([lp, ps - 1])]
+        b = pair.w2[np.concatenate([lj, js - 1])]
+        same = (a < 0) == (b < 0)
+        shared = (-np.minimum(np.abs(a), np.abs(b)))[same].tolist()
+        terms = (np.abs(pair.w1).tolist(), np.abs(pair.w2).tolist(),
+                 shared, shared)
         try:
-            raw = math.fsum(terms())
+            raw = math.fsum(chain(*terms))
         except OverflowError:
-            raw = _fraction_sum(terms())
+            raw = _fraction_sum(chain(*terms))
         halved = None
     else:
-        internal1 = pair.t1.n_nodes - leaves
-        internal2 = t2.n_nodes - t2.bits.rank10(t2.n_bits)
-        raw = internal1 + internal2 - 2 * equal
+        internal1 = pair.t1.n_nodes - int(leaf1.sum())
+        internal2 = t2.n_nodes - int(leaf2.sum())
+        raw = internal1 + internal2 - 2 * len(found)
         halved = raw / 2
-    return DistanceResult(metric, impl, raw, halved, equal,
-                          None if common is None else tuple(common), ops)
+    common = tuple(zip(ps.tolist(), js.tolist())) if capture else None
+    return DistanceResult(metric, impl, raw, halved, len(found), common, ops)
 
 
 def compute(pair: TreePair, metric: str, impl: str = "postorder",

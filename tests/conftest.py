@@ -178,3 +178,29 @@ def caterpillar_texts(n_leaves):
     for i in range(2, n_leaves + 1):
         mirror = f"(L{i},{mirror})"
     return text + ";", mirror + ";"
+
+
+def related_texts(rng, n_leaves, full=False, moves=50):
+    """A weighted mixed-arity tree and a copy after `moves` nearest-
+    neighbour interchanges (a child of a node swaps places with that
+    node's sibling), with every node's children shuffled and a tenth of
+    the weights redrawn.  Most clusters survive, so the pair shares most
+    of them; node counts and labels stay the same."""
+    root = random_topology(rng, n_leaves, "mixed")
+    nodes = assign_labels(root, rng, full=full, weights=True)
+    a = to_newick(root, weights=True)
+    parent = {id(c): v for v in nodes for c in v.children}
+    inner = [v for v in nodes[1:] if v.children]
+    for _ in range(moves):
+        v = rng.choice(inner)
+        u = parent[id(v)]
+        i = rng.randrange(len(v.children))
+        k = rng.choice([k for k, s in enumerate(u.children) if s is not v])
+        x, y = v.children[i], u.children[k]
+        v.children[i], u.children[k] = y, x
+        parent[id(x)], parent[id(y)] = u, v
+    for v in nodes[1:]:
+        rng.shuffle(v.children)
+        if rng.random() < 0.1:
+            v.weight = rng.random()
+    return a, to_newick(root, weights=True)

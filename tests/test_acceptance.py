@@ -12,13 +12,14 @@ import random
 import time
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import replace
 
-from bprf.baseline import day_rf, naive_metric
+from bprf.baseline import day_rf, naive_metric, parse_plain
 from bprf.cli import generate_pair_texts, generate_tree_text
 from bprf.distance import compute, erf, rf_nextsibling, rf_postorder, werf, wrf
 from bprf.newick import LabelTable, parse_pair
 from bprf.treeio import pack, size_report
+
+from conftest import preorder, related_texts
 
 T2 = "(((B,C)F,D)G,(A,E)H)I;"
 T3 = "((B,(D,C)F)G,(A,E)H)I;"
@@ -220,53 +221,84 @@ def test_criterion_6_memory_profile_shape():
         assert parse_end < parse_peak
 
 
+def _candidates(text1, text2, full):
+    """Tree-1 internal clusters whose tree-2 ranks are contiguous, counted
+    on pointer trees: a leaf's rank among tree 2's leaves in leaf mode, a
+    node's tree-2 pre-order index in fully-labelled mode."""
+    nodes2 = preorder(parse_plain(text2))
+    ranked = nodes2 if full else [v for v in nodes2 if not v.children]
+    rank = {v.label: r for r, v in enumerate(ranked)}
+    folds = {}
+    count = 0
+    for v in reversed(preorder(parse_plain(text1))):
+        parts = [folds.pop(id(c)) for c in v.children]
+        if full or not v.children:
+            parts.append((rank[v.label], rank[v.label], 1))
+        lo = min(x[0] for x in parts)
+        hi = max(x[1] for x in parts)
+        size = sum(x[2] for x in parts)
+        folds[id(v)] = lo, hi, size
+        if v.children and hi - lo + 1 == size:
+            count += 1
+    return count
+
+
+def _leaf_op_counts(a, b):
+    pair = parse_pair(a, b, weighted=True)
+    n = pair.n
+    assert n <= 10_000
+    c = _candidates(a, b, full=False)
+
+    # tree 1 is read as a stream and makes no query; tree 2 is asked one
+    # lca and one leaf count per candidate, and nothing else
+    po = rf_postorder(pair).ops
+    assert po.post_order_select == 0
+    assert po.next_sibling == 0
+    assert po.cluster_size == 0
+    assert po.lca == po.num_leaves == c
+    assert po.total() == 2 * c <= n - 1
+
+    # both names run the one sweep, and weight folding changes no
+    # traversal decisions
+    assert rf_nextsibling(pair).ops == po
+    assert wrf(pair).ops == po
+    assert wrf(pair, impl="nextsibling").ops == po
+    return c
+
+
+def _full_op_counts(a, b):
+    pair = parse_pair(a, b, mode="full", weighted=True)
+    n = pair.n
+    assert n <= 10_000
+    c = _candidates(a, b, full=True)
+
+    # a candidate's lowest rank is its only possible match: one size probe
+    # per candidate and no lca
+    epo = erf(pair).ops
+    assert epo.post_order_select == 0
+    assert epo.next_sibling == 0
+    assert epo.lca == 0
+    assert epo.num_leaves == 0
+    assert epo.cluster_size == c
+    assert epo.total() == c
+    assert erf(pair, impl="nextsibling").ops == epo
+
+    # the leaf singletons are tested over the code map, with no call
+    assert werf(pair).ops == epo
+    assert werf(pair, impl="nextsibling").ops == epo
+    return c
+
+
 def test_criterion_7_operation_count_bounds():
     with criterion(7, "instrumented operation counts stay within the "
                       "closed-form per-run bounds"):
         for arity in ("binary", "random"):
-            a, b = generate_pair_texts(5000, 17, arity, weights=True)
-            pair = parse_pair(a, b, weighted=True)
-            n = pair.n
-            assert n <= 10_000
-            leaves = pair.t1.num_leaves(1)
-
-            # tree 1 is read as a stream and makes no query: one tree-2
-            # leaf-count probe per internal node, one lca per child after
-            # the first
-            po = rf_postorder(pair).ops
-            assert po.post_order_select == 0
-            assert po.next_sibling == 0
-            assert po.cluster_size == 0
-            assert po.lca <= n - 2
-            assert po.num_leaves == n - leaves
-            assert po.total() == n - 1
-
-            # both names run the one sweep, and weight folding changes no
-            # traversal decisions
-            assert rf_nextsibling(pair).ops == po
-            assert wrf(pair).ops == po
-            assert wrf(pair, impl="nextsibling").ops == po
-
-            a, b = generate_pair_texts(5000, 18, arity, full=True,
-                                       weights=True)
-            pair = parse_pair(a, b, mode="full", weighted=True)
-            n = pair.n
-            assert n <= 10_000
-            leaves = pair.t1.num_leaves(1)
-
-            # the fold of every node starts from its own label's image, so
-            # every child costs an lca; one size probe per internal node
-            epo = erf(pair).ops
-            assert epo.post_order_select == 0
-            assert epo.next_sibling == 0
-            assert epo.lca == n - 1
-            assert epo.cluster_size == n - leaves
-            assert epo.total() == 2 * n - 1 - leaves
-            assert erf(pair, impl="nextsibling").ops == epo
-
-            # the extra cluster-size probes are the per-leaf singleton
-            # checks; everything else matches the unweighted runs
-            wpo = werf(pair).ops
-            assert replace(wpo, cluster_size=wpo.cluster_size - leaves) == epo
-            wns = werf(pair, impl="nextsibling").ops
-            assert replace(wns, cluster_size=wns.cluster_size - leaves) == epo
+            _leaf_op_counts(*generate_pair_texts(5000, 17, arity,
+                                                 weights=True))
+            _full_op_counts(*generate_pair_texts(5000, 18, arity, full=True,
+                                                 weights=True))
+        # a tree against a relabelled copy: thousands of candidates
+        near = related_texts(random.Random(19), 5000)
+        assert _leaf_op_counts(*near) > 1000
+        near = related_texts(random.Random(20), 5000, full=True)
+        assert _full_op_counts(*near) > 1000

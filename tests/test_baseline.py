@@ -97,3 +97,15 @@ def test_parse_plain_roundtrip():
         root = parse_plain(b)
         assert to_newick(root, weights=weights) == b
         assert root.weight == 0.0
+
+
+@pytest.mark.parametrize("text", ["(A:nan,B);", "(A:inf,B);", "(A:1_0,B);",
+                                  "((A:1,B:1):1e999,C:1);"])
+def test_parse_plain_rejects_what_parse_pair_rejects(text):
+    # float() reads all four; the strict parser takes none of them
+    with pytest.raises(ValueError, match="finite decimal literal"):
+        parse_plain(text)
+    with pytest.raises(ValueError):
+        parse_pair(text, text, weighted=True)
+    with pytest.raises(ValueError):
+        naive_metric(text, text, "wrf")

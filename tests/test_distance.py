@@ -9,7 +9,8 @@ from bprf.baseline import day_rf, naive_clusters, naive_metric, parse_plain
 from bprf.distance import compute, erf, rf_nextsibling, rf_postorder, werf, wrf
 from bprf.newick import ModeError, parse_pair
 
-from conftest import caterpillar_texts, leafset, pair_texts, preorder
+from conftest import (caterpillar_texts, leafset, pair_texts, preorder,
+                      related_texts)
 
 T4 = "(((A,B),C),(D,E,F));"
 T5 = "((D,E,F),(B,(A,C)));"
@@ -388,3 +389,120 @@ def test_cluster_set_sizes():
     assert len(naive_clusters(root, "leaf", True)) == 10
     full = parse_plain(T2)
     assert len(naive_clusters(full, "full", False)) == 9
+
+
+def _post_order(root):
+    out = []
+    stack = [(root, False)]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            out.append(v)
+        else:
+            stack.append((v, True))
+            stack.extend((c, False) for c in reversed(v.children))
+    return out
+
+
+def _oracle_common(a, b, full):
+    """The shared internal clusters as (tree-1, tree-2) pre-order index
+    pairs in tree-1 post-order, from pointer trees and label sets."""
+    def keyed(text):
+        root = parse_plain(text)
+        nodes = preorder(root)
+        index = {id(v): i for i, v in enumerate(nodes, 1)}
+        key = {}
+        for v in reversed(nodes):
+            own = {v.label} if full or not v.children else set()
+            key[id(v)] = frozenset(own.union(*(key[id(c)]
+                                               for c in v.children)))
+        return root, nodes, index, key
+    root1, _, index1, key1 = keyed(a)
+    _, nodes2, index2, key2 = keyed(b)
+    where2 = {key2[id(v)]: index2[id(v)] for v in nodes2 if v.children}
+    return tuple((index1[id(v)], where2[key1[id(v)]])
+                 for v in _post_order(root1)
+                 if v.children and key1[id(v)] in where2)
+
+
+def _probes(res):
+    """Candidates the sweep asked tree 2 about."""
+    return res.ops.cluster_size if res.metric in ("erf", "werf") \
+        else res.ops.num_leaves
+
+
+# contiguous tree-2 ranks that are not a tree-2 cluster, in both orders.
+# Leaf mode: {A,B} has leaf ranks 0..1 in the second tree, but lca(A, B)
+# is its root; {B,C} likewise the other way.  Fully-labelled: X's subtree
+# {X,A,B} takes pre-order indices 2..4 in the second tree, whose node 2 is
+# the leaf B; the other way, node 2 is the leaf C
+UNCONFIRMED = [
+    ("((A:1,B:2):3,C:4,D:5);", "(A:1,(B:2,C:3):4,D:5);", False),
+    ("(C:1,(A:2,B:3)X:4)R;", "(B:3,(A:2,C:1)X:4)R;", True),
+]
+
+
+@pytest.mark.parametrize("a, b, full", UNCONFIRMED)
+def test_candidates_that_fail_confirmation(a, b, full):
+    mode = "full" if full else "leaf"
+    for x, y in ((a, b), (b, a)):
+        pair = parse_pair(x, y, mode=mode, weighted=True)
+        for metric in (("erf", "werf") if full else ("rf", "wrf")):
+            for impl in ("postorder", "nextsibling"):
+                r = compute(pair, metric, impl, capture=True)
+                assert _probes(r) == r.equal_clusters + 1
+                assert r.raw == naive_metric(x, y, metric)
+                assert r.common == _oracle_common(x, y, full)
+
+
+def test_near_pair_10k_all_metrics():
+    """A 10k-leaf tree against a relabelled copy: most clusters are
+    candidates, some fail confirmation, and every metric under both
+    names gives the oracle's value and shared clusters."""
+    rng = random.Random(41)
+    for full in (False, True):
+        a, b = related_texts(rng, 10_000, full=full, moves=200)
+        mode = "full" if full else "leaf"
+        pair = parse_pair(a, b, mode=mode, weighted=True)
+        metrics = ("erf", "werf") if full else ("rf", "wrf")
+        want_common = _oracle_common(a, b, full)
+        assert len(want_common) > 1000
+        for metric in metrics:
+            want = naive_metric(a, b, metric)
+            for impl in ("postorder", "nextsibling"):
+                r = compute(pair, metric, impl, capture=True)
+                assert r.raw == pytest.approx(want, abs=1e-9)
+                assert r.common == want_common
+                assert r.equal_clusters == len(want_common)
+                assert _probes(r) > r.equal_clusters
+
+
+@pytest.mark.parametrize("a, b, full, raw, probes", [
+    ("A:0;", "A:0;", False, 0, 0),
+    ("A:0;", "A:0;", True, 0, 0),
+    ("(A:1,B:2);", "(B:2,A:1);", False, 0, 1),
+    ("(A:1,B:2)R;", "(B:2,A:1)R;", True, 0, 1),
+])
+def test_one_and_two_leaf_pairs(a, b, full, raw, probes):
+    mode = "full" if full else "leaf"
+    for x, y in ((a, b), (b, a)):
+        pair = parse_pair(x, y, mode=mode, weighted=True)
+        for metric in (("erf", "werf") if full else ("rf", "wrf")):
+            r = compute(pair, metric, capture=True)
+            assert r.raw == naive_metric(x, y, metric)
+            assert r.common == _oracle_common(x, y, full)
+            assert r.equal_clusters == probes
+            assert _probes(r) == probes
+            if metric in ("rf", "erf"):
+                assert r.raw == raw
+
+
+def test_werf_leaf_image_not_a_leaf():
+    # B is a leaf in one tree and the root in the other: its singleton is
+    # not shared, the root's cluster is; |2 - 0| + |0 - 3| = 5
+    a, b = "(A:1,B:2)R;", "(A:1,R:3)B;"
+    for x, y in ((a, b), (b, a)):
+        r = werf(parse_pair(x, y, mode="full", weighted=True), capture=True)
+        assert r.raw == 5.0 == naive_metric(x, y, "werf")
+        assert r.common == ((1, 1),)
+        assert r.ops.cluster_size == 1
