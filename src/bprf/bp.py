@@ -16,20 +16,11 @@ a given depth) both look for the first crossing of a target value, and
 since the excess walk moves in unit steps the first block whose minimum
 reaches the target must contain that crossing; a block whose minimum
 stays above the target is passed over without a scan.  The root needs no
-search: it closes at the last bit and is every node's ancestor.
-
-A top index lists, level by level, where the nodes of the first few levels
-open and close: at most 16 levels and one node in 128.  find_close reads a
-top node's answer from it, and lca walks down it with one bisection per
-level for as long as one node holds both positions.  A query about a large
-cluster ends there.  The distance sweep asks tree 2 only about candidate
-clusters, and on related trees most of those lie below these levels.
-Below the top, lca needs only the least excess between its two
-positions, not where it lies: the ancestor is the nearest node opening
-before the left position at that depth.
+search: it closes at the last bit and is every node's ancestor.  lca
+needs only the least excess between its two positions, not where it
+lies: the ancestor is the nearest node opening before the left position
+at that depth.
 """
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -56,12 +47,6 @@ for _b in range(256):
         _BYTE_LAST[_k] = _j
     _BYTE_EXC.append(_e)
     _BYTE_MIN.append(_mn)
-
-
-# The top index takes levels from the root down while they hold no more
-# than one node in _TOP_SHARE together, and _TOP_DEPTH levels at most.
-_TOP_DEPTH = 16
-_TOP_SHARE = 128
 
 
 class BpTree:
@@ -101,22 +86,6 @@ class BpTree:
         self._p2 = p2
         self._seg = seg.tolist()
 
-        # top index: per depth 2..D, the opening and closing positions of
-        # that level's nodes, both ascending; a closing bit leaves the
-        # excess one below its node's depth
-        is_open = arr.astype(bool)
-        per_depth = np.cumsum(np.bincount(cum[is_open]))
-        top = max(1, self.n_nodes // _TOP_SHARE)
-        depth = min(_TOP_DEPTH, int(np.searchsorted(per_depth, top, "right")) - 1)
-        opens = np.flatnonzero(is_open & (cum <= depth)) + 1
-        closes = np.flatnonzero(~is_open & (cum < depth)) + 1
-        odep = cum[opens - 1]
-        cdep = cum[closes - 1] + 1
-        self._top = [(opens[odep == d].tolist(), closes[cdep == d].tolist())
-                     for d in range(2, depth + 1)]
-        self._top_close = {o: c for os_, cs in self._top
-                           for o, c in zip(os_, cs)}
-
     # ------------------------------------------------------------------
     # basics
 
@@ -146,9 +115,6 @@ class BpTree:
             return p + 1
         if p == 1:
             return self.n_bits  # the sequence is one root's subtree
-        c = self._top_close.get(p)
-        if c is not None:
-            return c
         e = self.excess(p)
         return self._fwd_excess(p, e, e - 1)
 
@@ -166,14 +132,6 @@ class BpTree:
             p, q = q, p
         if p == 1:
             return 1  # the root is every node's ancestor
-        # walk down the top levels: at each, p's ancestor is the last node
-        # opening at or before p, and it holds q too while it closes after q
-        anc = 1
-        for opens, closes in self._top:
-            i = bisect_right(opens, p) - 1
-            if i < 0 or closes[i] < q:
-                return anc
-            anc = opens[i]
         # the lca is the nearest node opening before p at the least excess
         # over [p..q]; every position from its opening to p lies inside it,
         # so the backward search for that depth minus one starts at p
@@ -189,11 +147,9 @@ class BpTree:
         return self.bits.rank10(self.find_close(p)) - self.bits.rank10(p)
 
     def support_bits(self) -> int:
-        """Directory overhead in bits: bit-vector directories, the
-        32-bit-per-entry block-minimum tree and the top index, 32 bits for
-        each node's opening and for its closing position."""
-        return (self.bits.support_bits() + 32 * len(self._seg)
-                + 64 * len(self._top_close))
+        """Directory overhead in bits: bit-vector directories and the
+        32-bit-per-entry block-minimum tree."""
+        return self.bits.support_bits() + 32 * len(self._seg)
 
     # ------------------------------------------------------------------
     # excess searches

@@ -22,8 +22,13 @@ many leaves, and it is the match.  In fully-labelled mode the node whose
 pre-order index is lo must have exactly that subtree size; it is the
 match, and no lca is needed.
 
-Unweighted results count internal clusters only, the root included; it
-always matches because both trees span the same label set.  Weighted
+Every node is a cluster, and a leaf's is its singleton.  Leaf
+singletons are shared by the label map itself in leaf mode; in
+fully-labelled mode a leaf's image must be a leaf too.  Which are shared
+comes from numpy, outside the loop, and asks tree 2 nothing.  Unweighted
+results count the clusters of either tree that the other lacks; in leaf
+mode the singletons cancel, so only internal clusters count there.  The
+root always matches because both trees span the same label set.  Weighted
 results are the sum of |w1(c) - w2(c)| over all clusters c, a cluster
 missing from a tree weighing 0 there.  One math.fsum adds |w| for every
 weight of both trees and -min(|w1(c)|, |w2(c)|), twice, for every shared
@@ -32,10 +37,7 @@ cost |w1(c)| + |w2(c)| as they stand.  Every term is exact and fsum
 rounds the exact sum once, which makes the identity exactly 0.0 and the
 result exactly symmetric and never negative.  When a partial sum leaves
 the float range, the same terms are summed as fractions and rounded
-once, to inf if the sum itself lies past the range.  Leaf singletons
-are shared by the label map itself in leaf mode; in fully-labelled mode
-a leaf's image must be a leaf too.  Their terms come from numpy, outside
-the loop, and ask tree 2 nothing.
+once, to inf if the sum itself lies past the range.
 
 "postorder" and "nextsibling", the names of two earlier tree-1 walks,
 both name this sweep; a result echoes the name it was asked for.  Every
@@ -126,6 +128,10 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     bits2 = t2.bits.to01()
     lead2 = bits2[:-1] > bits2[1:]
     leaf2 = lead2[bits2[:-1].view(bool)]
+    # the tree-2 pre-order index (0-based) of each tree-1 leaf's image, and
+    # which images are leaves too: always so in leaf mode
+    lj = code[leaf1] - 1
+    leaf_image = leaf2[lj]
 
     # tree 1 as tokens: 1 opens an internal node, 2 is a leaf, 0 closes an
     # internal node
@@ -144,7 +150,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     else:
         # every leaf's tree-2 leaf rank, in tree-1 leaf order; an internal
         # node starts from its first leaf's rank without using it up
-        ranks = (np.cumsum(leaf2, dtype=np.int32) - 1)[code[leaf1] - 1]
+        ranks = (np.cumsum(leaf2, dtype=np.int32) - 1)[lj]
         ranks = ranks.tolist()
         leafpos = np.flatnonzero(lead2) + 1
         step = 0
@@ -195,13 +201,9 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     ops = (OpCounts(cluster_size=probes) if extended
            else OpCounts(lca=probes, num_leaves=probes))
     if weighted:
-        # leaf singletons are shared by the label map, in fully-labelled
-        # mode only when the leaf's image is a leaf as well
-        lp, lj = np.flatnonzero(leaf1), code[leaf1] - 1
-        if extended:
-            lp, lj = lp[leaf2[lj]], lj[leaf2[lj]]
+        lp = np.flatnonzero(leaf1)[leaf_image]
         a = pair.w1[np.concatenate([lp, ps - 1])]
-        b = pair.w2[np.concatenate([lj, js - 1])]
+        b = pair.w2[np.concatenate([lj[leaf_image], js - 1])]
         same = (a < 0) == (b < 0)
         shared = (-np.minimum(np.abs(a), np.abs(b)))[same].tolist()
         terms = (np.abs(pair.w1).tolist(), np.abs(pair.w2).tolist(),
@@ -212,9 +214,8 @@ def _sweep(pair: TreePair, metric: str, impl: str,
             raw = _fraction_sum(chain(*terms))
         halved = None
     else:
-        internal1 = pair.t1.n_nodes - int(leaf1.sum())
-        internal2 = t2.n_nodes - int(leaf2.sum())
-        raw = internal1 + internal2 - 2 * len(found)
+        shared = int(leaf_image.sum()) + len(found)
+        raw = pair.t1.n_nodes + t2.n_nodes - 2 * shared
         halved = raw / 2
     common = tuple(zip(ps.tolist(), js.tolist())) if capture else None
     return DistanceResult(metric, impl, raw, halved, len(found), common, ops)

@@ -155,17 +155,25 @@ def count_internal(root):
     return sum(1 for v in preorder(root) if v.children)
 
 
-def pair_texts(rng, n_leaves, arity="binary", full=False, weights=False):
+def pair_texts(rng, n_leaves, arity="binary", full=False, weights=False,
+               crossed=False):
     """Two independently drawn comparable trees over one label set.  In
     fully-labelled mode the internal label pools must coincide, so the
-    second topology is redrawn until the internal counts match."""
+    second topology is redrawn until the internal counts match.  crossed
+    shuffles the second tree's labels over all its nodes, so a label can
+    be a leaf in one tree and internal in the other."""
     r1 = random_topology(rng, n_leaves, arity)
     r2 = random_topology(rng, n_leaves, arity)
     if full:
         while count_internal(r2) != count_internal(r1):
             r2 = random_topology(rng, n_leaves, arity)
     assign_labels(r1, rng, full=full, weights=weights)
-    assign_labels(r2, rng, full=full, weights=weights)
+    nodes = assign_labels(r2, rng, full=full, weights=weights)
+    if crossed:
+        names = [v.label for v in nodes]
+        rng.shuffle(names)
+        for v, name in zip(nodes, names):
+            v.label = name
     return to_newick(r1, weights=weights), to_newick(r2, weights=weights)
 
 

@@ -156,9 +156,9 @@ def test_lca_matches_pointer_oracle(seed, n_leaves):
 @given(st.integers(0, 10_000))
 @settings(max_examples=8, deadline=None)
 def test_lca_and_find_close_across_blocks(seed):
-    """Trees spanning many directory blocks and several top-index levels:
-    lca of random pairs and of ancestor pairs, whether the answer lies in
-    the top levels or below them, and find_close at every node."""
+    """Trees spanning many directory blocks: lca of random pairs and of
+    ancestor pairs, whose searches cross blocks near the root and stay
+    within one block deep down, and find_close at every node."""
     rng = random.Random(seed)
     root = random_topology(rng, 3000, "binary")
     bits, positions = encode_bits(root)

@@ -1,6 +1,7 @@
 """End-to-end checks of the bprf command line, run as subprocesses."""
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -265,3 +266,21 @@ def test_unpack_to_file(nwk, tmp_path):
     assert run_cli("unpack", str(packed), "--output",
                    str(back)).returncode == 0
     assert back.read_text().strip() == T4
+
+
+# ----------------------------------------------------------------------
+# benchmark
+
+
+def test_perfbench_traced_round():
+    """One traced benchmark round patches BpTree.lca and reads the
+    OpCounts fields; it must still run and check every output."""
+    run = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    r = subprocess.run([sys.executable, str(run), "--workload",
+                        "small-matrix", "--seed", "1", "--seconds", "0",
+                        "--trace", "1"], capture_output=True, text=True,
+                       timeout=300)
+    assert r.returncode == 0, r.stderr
+    last = json.loads(r.stdout.splitlines()[-1])
+    assert last["correct"] is True
+    assert last["failed"] == 0

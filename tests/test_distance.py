@@ -258,9 +258,11 @@ def test_deep_caterpillar_all_drivers():
     assert r1.raw == naive_metric(a, b, "rf")
 
 
-def _rng_pair(seed, n_leaves, arity, full=False, weights=False):
+def _rng_pair(seed, n_leaves, arity, full=False, weights=False,
+              crossed=False):
     rng = random.Random(seed)
-    return pair_texts(rng, n_leaves, arity, full=full, weights=weights)
+    return pair_texts(rng, n_leaves, arity, full=full, weights=weights,
+                      crossed=crossed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,9 +279,9 @@ def test_rf_oracle_agreement(seed, n_leaves, arity):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 40),
-       st.sampled_from(["binary", "mixed"]))
-def test_erf_oracle_agreement(seed, n_leaves, arity):
-    a, b = _rng_pair(seed, n_leaves, arity, full=True)
+       st.sampled_from(["binary", "mixed"]), st.booleans())
+def test_erf_oracle_agreement(seed, n_leaves, arity, crossed):
+    a, b = _rng_pair(seed, n_leaves, arity, full=True, crossed=crossed)
     pair = parse_pair(a, b, mode="full")
     want = naive_metric(a, b, "erf")
     assert erf(pair).raw == want
@@ -288,10 +290,11 @@ def test_erf_oracle_agreement(seed, n_leaves, arity):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 40),
-       st.sampled_from(["binary", "mixed"]), st.booleans())
-def test_weighted_oracle_agreement(seed, n_leaves, arity, full):
+       st.sampled_from(["binary", "mixed"]), st.booleans(), st.booleans())
+def test_weighted_oracle_agreement(seed, n_leaves, arity, full, crossed):
     metric = "werf" if full else "wrf"
-    a, b = _rng_pair(seed, n_leaves, arity, full=full, weights=True)
+    a, b = _rng_pair(seed, n_leaves, arity, full=full, weights=True,
+                     crossed=full and crossed)
     pair = parse_pair(a, b, mode="full" if full else "leaf", weighted=True)
     want = naive_metric(a, b, metric)
     got = compute(pair, metric)
@@ -499,10 +502,24 @@ def test_one_and_two_leaf_pairs(a, b, full, raw, probes):
 
 def test_werf_leaf_image_not_a_leaf():
     # B is a leaf in one tree and the root in the other: its singleton is
-    # not shared, the root's cluster is; |2 - 0| + |0 - 3| = 5
+    # not shared, the root's cluster is; |2 - 0| + |0 - 3| = 5, and the
+    # unshared singletons {B} and {R} make erf 2
     a, b = "(A:1,B:2)R;", "(A:1,R:3)B;"
     for x, y in ((a, b), (b, a)):
         r = werf(parse_pair(x, y, mode="full", weighted=True), capture=True)
         assert r.raw == 5.0 == naive_metric(x, y, "werf")
         assert r.common == ((1, 1),)
         assert r.ops.cluster_size == 1
+        for impl in ("postorder", "nextsibling"):
+            assert erf(parse_pair(x, y, mode="full"), impl).raw == 2
+        assert naive_metric(x, y, "erf") == 2
+    # C and X trade places: {C}, {X}, {A,B,X}, {A,B,C} are unshared, and
+    # C's weights 2 and 3 belong to different clusters
+    a, b = "((A:1,B:1)X:1,C:2,D:1)R;", "((A:1,B:1)C:3,X:5,D:1)R;"
+    for x, y in ((a, b), (b, a)):
+        pair = parse_pair(x, y, mode="full", weighted=True)
+        for impl in ("postorder", "nextsibling"):
+            assert erf(pair, impl).raw == 4
+            assert werf(pair, impl).raw == 11.0
+        assert naive_metric(x, y, "erf") == 4
+        assert naive_metric(x, y, "werf") == 11.0

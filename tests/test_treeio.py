@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bprf.bp import BpTree
+from bprf.cli import generate_pair_texts
 from bprf.newick import LabelTable, TreePair, parse_pair, parse_tree, \
     write_newick
 from bprf.treeio import PackError, SizeReport, pack, size_report, unpack
@@ -208,6 +209,10 @@ def test_support_overhead_declines():
     big = size_report(_spine_pair(10**6))
     assert small.support_bits / 10**3 > big.support_bits / 10**6
     assert big.total_bits / 10**6 <= 40
+    # a random 100k-leaf pair, as the benchmark parses: 2 bits of
+    # parentheses and 32 of map per node leave under 2 for directories
+    pair = parse_pair(*generate_pair_texts(100_000, 1))
+    assert size_report(pair).total_bits / pair.t1.n_nodes <= 36
 
 
 def test_size_report_is_34n_plus_support():
