@@ -18,7 +18,7 @@ from math import isfinite
 
 import numpy as np
 
-from .distance import DistanceResult, OpCounts
+from .distance import METRICS, DistanceResult, OpCounts
 from .newick import _NUMBER, LabelMismatchError
 
 
@@ -140,7 +140,7 @@ def naive_distance(cs1: ClusterSet, cs2: ClusterSet, metric: str):
     """Literal set algebra: symmetric-difference count, or the sum of
     absolute weight differences with absent clusters at weight zero."""
     a, b = cs1.entries, cs2.entries
-    if metric in ("rf", "erf"):
+    if not METRICS[metric][1]:
         return (sum(1 for k in a if k not in b)
                 + sum(1 for k in b if k not in a))
     total = 0.0
@@ -154,8 +154,7 @@ def naive_distance(cs1: ClusterSet, cs2: ClusterSet, metric: str):
 
 def naive_metric(text1: str, text2: str, metric: str):
     """Parse both texts and evaluate one metric the slow way."""
-    mode = "full" if metric in ("erf", "werf") else "leaf"
-    weighted = metric in ("wrf", "werf")
+    mode, weighted = METRICS[metric]
     ids = {}
     cs1 = naive_clusters(parse_plain(text1), mode, weighted, ids)
     cs2 = naive_clusters(parse_plain(text2), mode, weighted, ids)

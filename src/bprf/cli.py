@@ -17,7 +17,7 @@ import random
 import sys
 
 from .baseline import PlainNode, _preorder, day_rf_trees, parse_plain
-from .distance import _require, compute
+from .distance import METRICS, compute
 from .newick import (
     LabelMismatchError,
     ModeError,
@@ -148,18 +148,16 @@ def _format(result, raw=False):
 def cmd_dist(args):
     text1 = _read(args.file1, 1)
     text2 = _read(args.file2, 2)
-    weighted = args.metric in ("wrf", "werf")
     if args.algo == "day":
         if args.metric != "rf":
             raise ModeError("--algo day only computes --metric rf")
         if args.emit_common:
             raise ModeError("--emit-common needs --algo postorder or "
                             "nextsibling")
-        pair = parse_pair(text1, text2, mode=args.mode)
-        _require(pair, "rf")
+        parse_pair(text1, text2)
         result = day_rf_trees(parse_plain(text1), parse_plain(text2))
     else:
-        pair = parse_pair(text1, text2, mode=args.mode, weighted=weighted)
+        pair = parse_pair(text1, text2, *METRICS[args.metric])
         result = compute(pair, args.metric, args.algo,
                          capture=args.emit_common)
     print(_format(result, raw=args.raw))
@@ -186,7 +184,7 @@ def _positive_int(text):
 
 
 def cmd_pack(args):
-    tree, labels, w = parse_tree(_read(args.input), weighted=True)
+    tree, labels, w = parse_tree(_read(args.input))
     with open(args.output, "wb") as fh:
         fh.write(pack(tree, labels, w))
     if args.report:
@@ -215,8 +213,9 @@ def build_parser():
     d = sub.add_parser("dist", help="distance between two newick files")
     d.add_argument("file1")
     d.add_argument("file2")
-    d.add_argument("--metric", choices=("rf", "erf", "wrf", "werf"),
-                   default="rf")
+    d.add_argument("--metric", choices=METRICS, default="rf",
+                   help="rf and wrf read leaf-labelled trees, erf and werf "
+                        "fully-labelled ones")
     d.add_argument("--algo", choices=("postorder", "nextsibling", "day"),
                    default="postorder",
                    help="postorder and nextsibling name the same sweep; "
@@ -226,7 +225,6 @@ def build_parser():
     d.add_argument("--emit-common", action="store_true",
                    help="after the value, one 'i<TAB>j' line per matched "
                         "cluster")
-    d.add_argument("--mode", choices=("auto", "leaf", "full"), default="auto")
     d.set_defaults(func=cmd_dist)
 
     g = sub.add_parser("gen", help="random newick tree on stdout")

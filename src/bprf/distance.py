@@ -57,7 +57,9 @@ import numpy as np
 
 from .newick import ModeError, TreePair
 
-METRICS = ("rf", "erf", "wrf", "werf")
+# each metric fixes how a pair is read: (labelling mode, weighted)
+METRICS = {"rf": ("leaf", False), "erf": ("full", False),
+           "wrf": ("leaf", True), "werf": ("full", True)}
 IMPLS = ("postorder", "nextsibling")
 
 
@@ -91,12 +93,12 @@ class DistanceResult:
 
 
 def _require(pair: TreePair, metric: str):
-    need = "full" if metric in ("erf", "werf") else "leaf"
+    need, weighted = METRICS[metric]
     if pair.mode != need:
         have = "fully-labelled" if pair.mode == "full" else "leaf-labelled"
         want = "fully-labelled" if need == "full" else "leaf-labelled"
         raise ModeError(f"metric '{metric}' needs a {want} pair, got {have}")
-    if metric in ("wrf", "werf") and not pair.weighted:
+    if weighted and not pair.weighted:
         raise ModeError(f"metric '{metric}' needs weights on the pair")
 
 
@@ -115,8 +117,8 @@ def _sweep(pair: TreePair, metric: str, impl: str,
            capture: bool) -> DistanceResult:
     if impl not in IMPLS:
         raise ValueError(f"unknown implementation {impl!r}")
-    extended = metric in ("erf", "werf")
-    weighted = metric in ("wrf", "werf")
+    mode, weighted = METRICS[metric]
+    extended = mode == "full"
     t2 = pair.t2
     code = pair.code_map
 

@@ -1,14 +1,16 @@
 """Newick parsing straight into the succinct representation.
 
 A tree is read in one pass: every '(' appends an opening bit, every leaf
-appends an open-close pair, every ')' appends a closing bit.  Labels and
-weights land in pre-order slots (slot i-1 for node i), so nothing pointer
-shaped is ever built.  A parsed pair keeps no names: the label strings
-and the table that joins the two trees die inside parse_pair, which
-returns the two encodings, the code map and the weights.  parse_tree
-keeps a tree's names in a LabelTable for write_newick and pack.  Error
-offsets are not stored per node; an error recovers its offset by
-scanning the text again.
+appends an open-close pair, every ')' appends a closing bit.  Weights
+land in pre-order slots (slot i-1 for node i), and each label goes into
+one table that maps it to its node's pre-order index, so nothing pointer
+shaped is ever built.  A parsed pair keeps no names: the two tables die
+inside parse_pair once tree 2's has been walked to fill the code map,
+and it returns the two encodings, the code map and the weights.
+parse_tree turns its table into a LabelTable for write_newick and pack.
+Error offsets are not stored per node; an error recovers its offset by
+scanning the text again, and an error that concerns several labels or
+nodes names the first in pre-order.
 
 Label syntax: a maximal run of characters excluding '(' ')' ',' ':' ';'
 '[' ']' "'" and whitespace.  Weight syntax: ':' immediately followed by
@@ -22,11 +24,12 @@ cluster, so the ')' closing it is rejected.
 
 Two labelling modes exist.  In leaf mode only leaves carry labels and
 internal labels are rejected; in full mode every node must carry one.
-Mode "auto" picks full when both inputs contain internal labels, leaf when
-neither does, and refuses to guess otherwise.
+The metric fixes the mode: rf and wrf read leaf mode, erf and werf full
+mode.
 """
 
 import re
+from array import array
 from math import isfinite
 
 import numpy as np
@@ -106,16 +109,14 @@ class TreePair:
         return self.w1 is not None
 
 
-class _Scanned:
-    __slots__ = ("bits", "labels", "weights", "table", "n", "any_weight",
-                 "first_internal_label")
-
-
 def _scan(text, tree_index):
-    """Single pass over one newick string; labels and weights use slot i-1."""
+    """Single pass over one newick string: (bits, table, weights,
+    first_internal).  table maps each label to its node's pre-order
+    index; weights has slot i-1 for node i, or is None when the text has
+    no weight; first_internal is the offset of the first internal label,
+    or None."""
     bits = bytearray()
-    labels = []
-    weights = []
+    weights = array("d")
     table = {}
     stack = []
     commas = []     # ',' seen so far at each open '(' on the stack
@@ -124,7 +125,7 @@ def _scan(text, tree_index):
     cur = 0
     n = 0
     any_weight = False
-    first_internal = None   # offset of the first internal label
+    first_internal = None
     end = None
 
     for mo in _TOKEN.finditer(text):
@@ -138,7 +139,6 @@ def _scan(text, tree_index):
             if expect_node:
                 n += 1
                 bits += b"\x01\x00"
-                labels.append(label)
                 weights.append(0.0)
                 if label in table:
                     raise ParseError(f"duplicate label '{label}'", off, tree_index)
@@ -151,7 +151,6 @@ def _scan(text, tree_index):
                 if label in table:
                     raise ParseError(f"duplicate label '{label}'", off, tree_index)
                 table[label] = cur
-                labels[cur - 1] = label
                 if first_internal is None:
                     first_internal = off
                 can_label = False
@@ -176,7 +175,6 @@ def _scan(text, tree_index):
                 raise ParseError("unexpected '('", off, tree_index)
             n += 1
             bits.append(1)
-            labels.append(None)
             weights.append(0.0)
             stack.append(n)
             commas.append(0)
@@ -211,16 +209,7 @@ def _scan(text, tree_index):
 
     if end is None:
         raise ParseError("missing ';' terminator", len(text), tree_index)
-
-    s = _Scanned()
-    s.bits = bits
-    s.labels = labels
-    s.weights = weights
-    s.table = table
-    s.n = n
-    s.any_weight = any_weight
-    s.first_internal_label = first_internal
-    return s
+    return bits, table, weights if any_weight else None, first_internal
 
 
 def _node_offset(text, k):
@@ -245,80 +234,71 @@ def _label_offset(text, label):
                 if mo.group(3) == label)
 
 
-def _check_mode(s, text, mode, tree_index):
-    if mode == "leaf":
-        if s.first_internal_label is not None:
-            raise ModeError("internal label not allowed in leaf mode",
-                            s.first_internal_label, tree_index)
-    elif None in s.labels:
-        raise ModeError("unlabelled node in fully-labelled mode",
-                        _node_offset(text, s.labels.index(None) + 1),
-                        tree_index)
-
-
 def parse_pair(text1: str, text2: str, mode: str = "leaf",
                weighted: bool = False) -> TreePair:
     """Parse two newick strings and join them by label.
 
-    mode is "leaf", "full", or "auto".  With weighted=True the per-node
-    weight vectors are kept; weight literals in the input are validated
-    either way.  The pair keeps no label strings.
+    mode is "leaf" or "full".  With weighted=True the per-node weight
+    vectors are kept; weight literals in the input are validated either
+    way.  The pair keeps no label strings.
     """
-    if mode not in ("leaf", "full", "auto"):
+    if mode not in ("leaf", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    s1 = _scan(text1, 1)
-    s2 = _scan(text2, 2)
-    if mode == "auto":
-        internal1 = s1.first_internal_label is not None
-        if internal1 != (s2.first_internal_label is not None):
-            raise ModeError("internal labels present in only one input")
-        mode = "full" if internal1 else "leaf"
-    _check_mode(s1, text1, mode, 1)
-    _check_mode(s2, text2, mode, 2)
+    scans = (_scan(text1, 1), _scan(text2, 2))
+    for k, text, (bits, table, _, first_internal) in zip(
+            (1, 2), (text1, text2), scans):
+        n = len(bits) // 2
+        if mode == "leaf":
+            if first_internal is not None:
+                raise ModeError("internal label not allowed in leaf mode",
+                                first_internal, k)
+        elif len(table) < n:
+            first = min(set(range(1, n + 1)) - set(table.values()))
+            raise ModeError("unlabelled node in fully-labelled mode",
+                            _node_offset(text, first), k)
     if weighted:
-        for s, k in ((s1, 1), (s2, 2)):
-            if not s.any_weight:
-                raise ModeError("weighted parse needs ':' weights",
-                                0, k)
+        for k, (_, _, w, _) in enumerate(scans, 1):
+            if w is None:
+                raise ModeError("weighted parse needs ':' weights", 0, k)
 
-    code = [0] * s1.n
-    table1 = s1.table
-    matched = 0
-    for j, lab in enumerate(s2.labels, 1):
-        if lab is None:
-            continue
-        i = table1.get(lab)
-        if i is None:
-            raise LabelMismatchError(f"label '{lab}' not in first tree",
-                                     _label_offset(text2, lab), 2)
-        code[i - 1] = j
-        matched += 1
-    if matched < len(table1):
-        miss = next(s1.labels[i] for i in range(s1.n)
-                    if s1.labels[i] is not None and code[i] == 0)
-        raise LabelMismatchError(f"label '{miss}' missing from second tree",
+    (bits1, table1, w1, _), (bits2, table2, w2, _) = scans
+    try:
+        into = np.fromiter(map(table1.__getitem__, table2), np.intp,
+                           len(table2))
+    except KeyError:
+        # the table's order is not pre-order: name the pre-order-first
+        lab = min(table2.keys() - table1.keys(), key=table2.get)
+        raise LabelMismatchError(f"label '{lab}' not in first tree",
+                                 _label_offset(text2, lab), 2) from None
+    if len(table2) < len(table1):
+        lab = min(table1.keys() - table2.keys(), key=table1.get)
+        raise LabelMismatchError(f"label '{lab}' missing from second tree",
                                  len(text2), 2)
+    code = np.zeros(len(bits1) // 2, np.int32)
+    code[into - 1] = np.fromiter(table2.values(), np.int32, len(table2))
 
     return TreePair(
-        BpTree(np.frombuffer(s1.bits, np.uint8)),
-        BpTree(np.frombuffer(s2.bits, np.uint8)),
-        np.array(code, dtype=np.int32),
-        np.array(s1.weights) if weighted else None,
-        np.array(s2.weights) if weighted else None,
+        BpTree(np.frombuffer(bits1, np.uint8)),
+        BpTree(np.frombuffer(bits2, np.uint8)),
+        code,
+        np.array(w1) if weighted else None,
+        np.array(w2) if weighted else None,
         mode,
     )
 
 
-def parse_tree(text: str, weighted: bool = False):
+def parse_tree(text: str):
     """Parse a single tree: (BpTree, LabelTable, weight array or None).
 
     Mode constraints do not apply to a standalone tree; internal labels
-    are kept when present.
+    are kept when present, and weights whenever the text has one.
     """
-    s = _scan(text, 1)
-    tree = BpTree(np.frombuffer(s.bits, np.uint8))
-    w = np.array(s.weights) if (weighted and s.any_weight) else None
-    return tree, LabelTable(s.labels), w
+    bits, table, weights, _ = _scan(text, 1)
+    names = [None] * (len(bits) // 2)
+    for name, i in table.items():
+        names[i - 1] = name
+    w = None if weights is None else np.array(weights)
+    return BpTree(np.frombuffer(bits, np.uint8)), LabelTable(names), w
 
 
 def write_newick(tree: BpTree, labels: LabelTable, weights=None) -> str:

@@ -11,9 +11,10 @@ are the usual base-128 with continuation bit.
 Decoding validates everything it touches: magic, version, flag bits,
 truncation at each step, pad bits, structural validity of the bit
 vector, label indexes and duplicates, and trailing garbage.  It also
-accepts only what write_newick can write back as the same tree: every
-name is one non-empty newick label token, no name sits on two nodes,
-and every weight is finite.  The contract is decode(encode(x)) == x
+accepts only what write_newick can write back as the same tree: no
+internal node has a single child, every leaf has a name, every name is
+one non-empty newick label token, no name sits on two nodes, and every
+weight is finite.  The contract is decode(encode(x)) == x
 down to the bit.
 """
 
@@ -120,6 +121,19 @@ def unpack(data: bytes):
         tree = BpTree(bits)
     except ValueError as e:
         raise PackError(f"bit vector is not a tree: {e}") from None
+    # pair every opening bit with its closing bit: the bits of the nodes
+    # at one depth alternate open, close in position order
+    depth = np.cumsum(bits.astype(np.int64) * 2 - 1) + (bits == 0)
+    order = np.argsort(depth, kind="stable")
+    close = np.empty(m, np.intp)
+    close[order[0::2]] = order[1::2]
+    # a node has one child when its first child's close is followed by its
+    # own close
+    first = np.flatnonzero(bits[:-1] & bits[1:]) + 1
+    single = first[bits[close[first] + 1] == 0]
+    if single.size:
+        raise PackError(f"node {np.count_nonzero(bits[:single[0]])} has a "
+                        "single child")
 
     (count,) = struct.unpack("<I", r.take(4, "label count"))
     if count > n:
@@ -144,6 +158,10 @@ def unpack(data: bytes):
             raise PackError(f"label {name!r} repeated on node {i}")
         seen.add(name)
         names[i - 1] = name
+    leaf = (bits[:-1] > bits[1:])[bits[:-1] == 1]
+    for i in np.flatnonzero(leaf).tolist():
+        if names[i] is None:
+            raise PackError(f"leaf {i + 1} has no label")
 
     w = None
     if flags & _FLAG_WEIGHTS:

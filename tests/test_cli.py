@@ -13,8 +13,8 @@ import pytest
 import bprf
 from bprf.baseline import parse_plain
 from bprf.cli import build_parser, generate_pair_texts, generate_tree_text
-from bprf.newick import parse_pair, parse_tree
-from bprf.treeio import size_report
+from bprf.newick import LabelTable, parse_pair, parse_tree
+from bprf.treeio import pack, size_report
 
 T2 = "(((B,C)F,D)G,(A,E)H)I;"
 T3 = "((B,(D,C)F)G,(A,E)H)I;"
@@ -141,12 +141,16 @@ def test_dist_unary_node_exits_2(nwk):
 
 
 def test_dist_mode_flag(nwk):
+    # the metric fixes the labelling mode; no flag chooses it
     a = nwk("a", T2)
     b = nwk("b", T3)
-    assert run_cli("dist", a, b, "--mode", "full", "--metric", "erf",
+    assert run_cli("dist", a, b, "--metric", "erf",
                    "--raw").stdout == "2\n"
-    # leaf mode re-reads the same files as leaf-labelled, which T2 is not
-    assert run_cli("dist", a, b, "--mode", "leaf").returncode == 3
+    # rf reads the same files as leaf-labelled, which T2 is not
+    r = run_cli("dist", a, b)
+    assert r.returncode == 3
+    assert "tree 1, offset 7" in r.stderr, r.stderr
+    assert run_cli("dist", a, b, "--mode", "full").returncode == 2
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +167,7 @@ def test_gen_deterministic():
 def test_gen_parses_back(nwk):
     for seed in range(5):
         text = generate_tree_text(30, seed, full=True, weights=True)
-        tree, labels, w = parse_tree(text, weighted=True)
+        tree, labels, w = parse_tree(text)
         assert tree.num_leaves(1) == 30
         assert all(labels.name_of(i) for i in range(1, tree.n_nodes + 1))
         assert w is not None
@@ -256,6 +260,17 @@ def test_unpack_corrupt(tmp_path):
     p = tmp_path / "bad.sbpt"
     p.write_bytes(b"not a packed tree")
     assert run_cli("unpack", str(p)).returncode == 2
+    # trees write_newick cannot write back: a leaf with no label, and
+    # "(A);", whose root has one child (bits 1100)
+    tree = parse_tree("((A,B),C);")[0]
+    unary = (b"SBPT\x01\x00" + (2).to_bytes(8, "little") + b"\xc0"
+             + (1).to_bytes(4, "little") + b"\x02\x01A")
+    for data, what in ((pack(tree, LabelTable([None, None, None, "B",
+                                                "C"])), "leaf 3"),
+                       (unary, "node 1")):
+        p.write_bytes(data)
+        r = run_cli("unpack", str(p))
+        assert r.returncode == 2 and what in r.stderr, r.stderr
 
 
 def test_unpack_to_file(nwk, tmp_path):

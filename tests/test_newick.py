@@ -98,19 +98,20 @@ def test_weights_sum_against_char_scan():
             i += 1
         return sum(v for d, v in vals if d > 0)
 
-    for text in (W1, "(A:1.5,(B:2.25,C:0.5):3.0):9.0;"):
-        pair = parse_pair(text, text, mode="auto", weighted=True)
+    for text, mode in ((W1, "full"),
+                       ("(A:1.5,(B:2.25,C:0.5):3.0):9.0;", "leaf")):
+        pair = parse_pair(text, text, mode=mode, weighted=True)
         assert math.fsum(pair.w1) + math.fsum(pair.w2) == \
             pytest.approx(2 * scan_sum(text), abs=1e-12)
 
 
 def test_root_weight_discarded():
-    tree, labels, w = parse_tree("(A:1.5,B:2.5):7;", weighted=True)
+    tree, labels, w = parse_tree("(A:1.5,B:2.5):7;")
     assert w.tolist() == [0.0, 1.5, 2.5]
 
 
 def test_weight_forms():
-    _, _, w = parse_tree("(A:1,B:.5,C:+2e-3,D:-1.25E2,E:3.);", weighted=True)
+    _, _, w = parse_tree("(A:1,B:.5,C:+2e-3,D:-1.25E2,E:3.);")
     assert w.tolist() == [0.0, 1.0, 0.5, 0.002, -125.0, 3.0]
 
 
@@ -157,7 +158,7 @@ def test_unary_node_rejected(text, offset):
     assert "single child" in str(ei.value)
     for k, (a, b) in ((1, (text, "(A,B);")), (2, ("(A,B);", text))):
         with pytest.raises(ParseError) as ei:
-            parse_pair(a, b, mode="auto")
+            parse_pair(a, b)
         assert (ei.value.tree_index, ei.value.offset) == (k, offset)
 
 
@@ -179,10 +180,16 @@ def test_label_mismatch():
     assert "'C'" in str(ei.value)
     assert ei.value.offset == 6
 
-    # the offset of a tree-2 label missing from tree 1 is its token's
+    # a tree-2 label missing from tree 1 is reported at its token, a
+    # tree-1 label missing from tree 2 at the end of the second text; of
+    # several, the first in pre-order, though the label tables hold Z, Q
+    # and X after the leaves below them
     for a, b, mode, label, offset in (
             ("((A,B)X,C)R;", "((A,B)Z,C)R;", "full", "'Z'", 6),
-            ("((A,B),(C,D));", "((A,B),(C, E));", "leaf", "'E'", 11)):
+            ("((A,B),(C,D));", "((A,B),(C, E));", "leaf", "'E'", 11),
+            ("((A,B)X,C)R;", "((A,Q)Z,C)R;", "full", "'Z' not in", 6),
+            ("((A,Q)Z,C)R;", "((A,B)X,C)R;", "full", "'X' not in", 6),
+            ("((A,B)X,C)R;", "(A,C)R;", "full", "'X' missing", 7)):
         with pytest.raises(LabelMismatchError) as ei:
             parse_pair(a, b, mode=mode)
         assert (ei.value.tree_index, ei.value.offset) == (2, offset)
@@ -199,28 +206,24 @@ def test_mode_validation():
     assert ei.value.offset == 1 and ei.value.tree_index == 2
 
     # an unlabelled node is reported at its '(', past weights and
-    # whitespace
+    # whitespace; of several, the first in pre-order
     for a, b, k, offset in (
             ("((A:1, B:2)X:1,(C,D))R;", "((A,B)X,(C,D)Y)R;", 1, 15),
+            ("((A,B),(C,D))R;", "((A,B)X,(C,D)Y)R;", 1, 1),
             ("((A,B)X,(C,D)Y)R;", "(\n (A:1,B:2)X:1 ,( C , D ) )R;", 2, 17)):
         with pytest.raises(ModeError) as ei:
             parse_pair(a, b, mode="full")
         assert (ei.value.tree_index, ei.value.offset) == (k, offset)
         assert "unlabelled node" in str(ei.value)
 
-    with pytest.raises(ValueError):
-        parse_pair(T4, T5, mode="strict")
-
-
-def test_mode_auto():
-    assert parse_pair(T4, T5, mode="auto").mode == "leaf"
-    assert parse_pair(T2, T3, mode="auto").mode == "full"
-    with pytest.raises(ModeError):
-        parse_pair(T2, T4, mode="auto")
+    # the metric fixes the mode; nothing guesses it from the input
+    for mode in ("strict", "auto"):
+        with pytest.raises(ValueError):
+            parse_pair(T4, T5, mode=mode)
 
 
 def test_write_newick_fixed():
-    tree, labels, w = parse_tree(W1, weighted=True)
+    tree, labels, w = parse_tree(W1)
     assert write_newick(tree, labels, w) == \
         "(((B:0.2,C:0.2)W:0.3,D:0.5)X:0.6,(A:0.5,E:0.5)Y:0.6)Z;"
     assert write_newick(tree, labels) == "(((B,C)W,D)X,(A,E)Y)Z;"
@@ -256,7 +259,7 @@ def test_roundtrip_random(seed, n_leaves, arity, full, weighted):
     root = random_topology(rng, n_leaves, arity)
     assign_labels(root, rng, full=full, weights=weighted)
     text = to_newick(root, weights=weighted)
-    tree, labels, w = parse_tree(text, weighted=weighted)
+    tree, labels, w = parse_tree(text)
 
     bits, _ = encode_bits(root)
     assert tree.bits.to01().tolist() == bits

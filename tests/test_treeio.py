@@ -44,7 +44,7 @@ def test_roundtrip_t4():
 
 def test_roundtrip_weighted_exact():
     text = "((A:0.1,B:2.5e-3):3.25,C:4e8);"
-    tree, labels, w = parse_tree(text, weighted=True)
+    tree, labels, w = parse_tree(text)
     t2, l2, w2 = unpack(pack(tree, labels, w))
     assert w2.tolist() == w.tolist()
     assert write_newick(t2, l2, w2) == write_newick(tree, labels, w)
@@ -56,9 +56,9 @@ def test_unlabelled_tree_packs():
     data = pack(tree, labels)
     assert len(data) == _HEADER + 1 + 4
     assert struct.unpack("<I", data[_HEADER + 1:_HEADER + 5])[0] == 0
-    t2, l2, w2 = unpack(data)
-    assert t2.bits.to01().tolist() == [1, 1, 0, 1, 0, 0]
-    assert [l2.name_of(i) for i in (1, 2, 3)] == [None, None, None]
+    # write_newick would print "(,);", which the parser rejects
+    with pytest.raises(PackError, match="leaf 2 has no label"):
+        unpack(data)
 
 
 def test_pack_deterministic():
@@ -66,7 +66,7 @@ def test_pack_deterministic():
     root = random_topology(rng, 40, "mixed")
     assign_labels(root, rng, full=True, weights=True)
     text = to_newick(root, weights=True)
-    tree, labels, w = parse_tree(text, weighted=True)
+    tree, labels, w = parse_tree(text)
     assert pack(tree, labels, w) == pack(tree, labels, w)
 
 
@@ -77,7 +77,7 @@ def test_roundtrip_100_random_trees():
         weights = k % 2 == 0
         assign_labels(root, rng, full=k % 3 == 0, weights=weights)
         text = to_newick(root, weights=weights)
-        tree, labels, w = parse_tree(text, weighted=weights)
+        tree, labels, w = parse_tree(text)
         data = pack(tree, labels, w)
         t2, l2, w2 = unpack(data)
         assert pack(t2, l2, w2) == data
@@ -90,8 +90,7 @@ def test_roundtrip_property(seed, n_leaves, weighted):
     rng = random.Random(seed)
     root = random_topology(rng, n_leaves, "mixed")
     assign_labels(root, rng, weights=weighted)
-    tree, labels, w = parse_tree(to_newick(root, weights=weighted),
-                                 weighted=weighted)
+    tree, labels, w = parse_tree(to_newick(root, weights=weighted))
     t2, l2, w2 = unpack(pack(tree, labels, w))
     assert t2.bits.to01().tolist() == tree.bits.to01().tolist()
     if weighted:
@@ -100,7 +99,7 @@ def test_roundtrip_property(seed, n_leaves, weighted):
 
 def _valid_bytes(weighted=False):
     tree, labels, w = parse_tree("((A:1,B:2):3,C:4);" if weighted
-                                 else "((A,B),C);", weighted=weighted)
+                                 else "((A,B),C);")
     return pack(tree, labels, w)
 
 
@@ -137,7 +136,7 @@ def test_unpack_errors():
 
     # weights write_newick would print as ':nan' or ':inf', which the
     # parser rejects
-    tree, labels, w = parse_tree("((A:1,B:2):3,C:4);", weighted=True)
+    tree, labels, w = parse_tree("((A:1,B:2):3,C:4);")
     for k, x in ((3, float("nan")), (2, float("inf")), (1, -float("inf"))):
         bad = w.copy()
         bad[k - 1] = x
@@ -154,6 +153,24 @@ def test_unpack_rejects_non_tree_bits():
     data += struct.pack("<I", 0)
     with pytest.raises(PackError, match="not a tree"):
         unpack(bytes(data))
+
+    # a node with one child, which the parser rejects: "1100" with leaf A
+    # once unpacked and was written back as "(A);"
+    for bits, names, node in (
+            ("1100", [None, "A"], 1),                         # (A);
+            ("11100100", [None, None, "A", "B"], 2),          # ((A),B);
+            ("111101000100", [None, None, None, "A", "B", "C"], 2),
+            ("111011000100", [None, None, "A", None, "B", "C"], 4)):
+        data = bytearray(b"SBPT" + bytes([1, 0])
+                         + struct.pack("<Q", len(names)))
+        data += np.packbits([int(c) for c in bits]).tobytes()
+        data += struct.pack("<I", len(names) - names.count(None))
+        for i, name in enumerate(names, 1):
+            if name is not None:
+                data += bytes([i, 1]) + name.encode()
+        with pytest.raises(PackError, match=f"node {node} has a single "
+                                            "child"):
+            unpack(bytes(data))
 
 
 def test_unpack_rejects_bad_label_block():
@@ -180,7 +197,11 @@ def test_unpack_rejects_bad_label_block():
                         ([None, None, "A", "", "C"], "not a newick label"),
                         ([None, None, "A", "a b", "C"], "not a newick label"),
                         ([None, None, "A", "x,y", "C"], "not a newick label"),
-                        ([None, "A", "A[1]", "B", "C"], "not a newick label")):
+                        ([None, "A", "A[1]", "B", "C"], "not a newick label"),
+                        # once written back as "((,B),C);"
+                        ([None, None, None, "B", "C"], "leaf 3 has no label"),
+                        ([None, None, "A", "B", None], "leaf 5 has no label"),
+                        (["R", "X", None, None, "C"], "leaf 3 has no label")):
         with pytest.raises(PackError, match=what):
             unpack(pack(tree, LabelTable(names)))
 
