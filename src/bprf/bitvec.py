@@ -1,16 +1,14 @@
 """Static bit vector with constant-time rank and near-constant select.
 
 Positions are 1-based and rank queries are inclusive: rank1(p) counts ones
-in positions 1..p, rank1(0) == 0.  rank10 counts occurrences of the two-bit
-pattern "10", where an occurrence is located at the position of its zero.
-The queries are rank1, rank10 and select1: the balanced-parentheses tree
-needs no more.
+in positions 1..p, rank1(0) == 0.  The queries are rank1 and select1: the
+balanced-parentheses tree needs no more.
 
 Layout: the payload is packed 8 bits per byte, most significant bit first,
 so position 1 is the high bit of byte 0, and is held once, as a `bytes`
-object.  On top of that sit two count directories per query, one absolute
-(64-bit entries, one per superblock) and one relative (16-bit entries, one
-per block of 64-bit words).  Block size grows slowly with the vector
+object.  On top of that sit two count directories, one absolute (64-bit
+entries, one per superblock) and one relative (16-bit entries, one per
+block of 64-bit words).  Block size grows slowly with the vector
 length, which keeps the directory overhead a shrinking fraction of the
 payload while an in-block rank is one popcount of the block's bytes up to
 the position.  Select runs two binary searches over the count directories,
@@ -42,7 +40,7 @@ def _popcount_words(a):
 
 
 class BitVector:
-    """Immutable 0/1 vector supporting rank1, rank10 and select1."""
+    """Immutable 0/1 vector supporting rank1 and select1."""
 
     def __init__(self, bits):
         arr = np.asarray(bits, dtype=np.uint8)
@@ -69,34 +67,16 @@ class BitVector:
         pop = _popcount_words(words).astype(np.int64)
         cum1 = np.concatenate([[0], np.cumsum(pop)])
 
-        # "10" occurrences per word; the pattern crossing a word boundary is
-        # charged to the word holding the zero.
-        prev_last = np.roll(words & np.uint64(1), 1)
-        if nwords:
-            prev_last[0] = 0
-        tens = ((words >> np.uint64(1)) | (prev_last << np.uint64(63))) & ~words
-        pop10 = _popcount_words(tens).astype(np.int64)
-        if nwords:
-            # drop phantom occurrences inside the zero padding of the last word
-            valid = m - 64 * (nwords - 1)
-            if valid < 64:
-                t = int(tens[-1]) >> (64 - valid)
-                pop10[-1] = t.bit_count()
-        cum10 = np.concatenate([[0], np.cumsum(pop10)])
-
         sb_word = np.minimum(np.arange(nsb + 1) * 16 * bw, nwords)
         blk_word = np.minimum(np.arange(nblk) * bw, nwords)
         sb_of_blk = np.arange(nblk) // 16
 
         sb1 = cum1[sb_word]
         blk1 = (cum1[blk_word] - sb1[sb_of_blk]).astype(np.uint16)
-        sb10 = cum10[sb_word]
-        blk10 = (cum10[blk_word] - sb10[sb_of_blk]).astype(np.uint16)
 
         # Queries run on list mirrors: rank reads entries as plain ints and
         # select bisects the same lists, bounded to one superblock's blocks.
         self._sb1, self._blk1 = sb1.tolist(), blk1.tolist()
-        self._sb10, self._blk10 = sb10.tolist(), blk10.tolist()
         self._nblk = nblk
 
     # ------------------------------------------------------------------
@@ -128,27 +108,6 @@ class BitVector:
         return (self._sb1[blk >> 4] + self._blk1[blk]
                 + (x >> ((e << 3) - p)).bit_count())
 
-    def rank10(self, p: int) -> int:
-        """Occurrences of "10" whose zero lies at a position <= p."""
-        if not 0 <= p <= self.n_bits:
-            raise ValueError(f"position {p} out of range 0..{self.n_bits}")
-        if p == 0:
-            return 0
-        blk = ((p - 1) >> 6) // self.block_words
-        s = blk * self._block_bytes
-        e = (p + 7) >> 3
-        by = self._payload
-        x = int.from_bytes(by[s:e], "big")
-        if s:
-            # the last bit before the block is the left neighbour of its
-            # first bit
-            x |= (by[s - 1] & 1) << ((e - s) << 3)
-        # a "10" ends at each zero whose left neighbour is a one; ~x needs
-        # no mask because x >> 1 has no bits above x's own
-        t = (x >> 1) & ~x
-        return (self._sb10[blk >> 4] + self._blk10[blk]
-                + (t >> ((e << 3) - p)).bit_count())
-
     # ------------------------------------------------------------------
     # select
 
@@ -177,6 +136,4 @@ class BitVector:
     def support_bits(self) -> int:
         """Directory overhead in bits, by declared entry width (64-bit
         superblock counts, 16-bit block counts); payload and mirrors excluded."""
-        sb = 64 * (len(self._sb1) + len(self._sb10))
-        blk = 16 * (len(self._blk1) + len(self._blk10))
-        return sb + blk
+        return 64 * len(self._sb1) + 16 * len(self._blk1)

@@ -6,8 +6,7 @@ both are 1-based: a position (index of an opening bit) and a pre-order
 index.  excess(p), the ones minus the zeros in positions 1..p, is the
 depth of the node open at position p.  The queries are the ones the
 distance sweep asks of tree 2: pre_order_map (one rank1), pre_order_select
-(one select1), lca, cluster_size (find_close) and num_leaves (find_close
-and two rank10).
+(one select1), lca and cluster_size (find_close).
 
 Excess searches are served by a three-level structure: byte tables for
 in-block scans, per-block minima at the leaves of a flat segment tree for
@@ -141,10 +140,6 @@ class BpTree:
     def cluster_size(self, p: int) -> int:
         """Number of nodes in the subtree rooted at p."""
         return (self.find_close(p) - p + 1) // 2
-
-    def num_leaves(self, p: int) -> int:
-        """Number of leaves in the subtree rooted at p."""
-        return self.bits.rank10(self.find_close(p)) - self.bits.rank10(p)
 
     def support_bits(self) -> int:
         """Directory overhead in bits: bit-vector directories and the

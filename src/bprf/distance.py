@@ -17,8 +17,9 @@ greatest rank of the node on top as plain ints, and folds them into the
 parent when the node closes.  A tree-1 cluster can only be shared when
 hi - lo + 1 equals its leaf count (leaf mode) or its size
 (fully-labelled mode), so only those candidates ask tree 2 anything.  In
-leaf mode the lca of the leaves ranked lo and hi must have exactly that
-many leaves, and it is the match.  In fully-labelled mode the node whose
+leaf mode the lca of the leaves ranked lo and hi must span no other
+leaf, and it is the match; rank1 reads that from the bits at its two
+edges, with no leaf count.  In fully-labelled mode the node whose
 pre-order index is lo must have exactly that subtree size; it is the
 match, and no lca is needed.
 
@@ -42,10 +43,10 @@ once, to inf if the sum itself lies past the range.
 "postorder" and "nextsibling", the names of two earlier tree-1 walks,
 both name this sweep; a result echoes the name it was asked for.  Every
 call reports how often it asked the tree-2 queries whose per-call cost
-is not constant: an lca and a num_leaves per leaf-mode candidate, a
-cluster_size per fully-labelled one.  The counts back the
-traversal-bound tests.  Tree 1 makes no query, so post_order_select and
-next_sibling stay 0.
+is not constant: an lca per leaf-mode candidate, a cluster_size per
+fully-labelled one.  The counts back the traversal-bound tests.  Tree 1
+makes no query and no leaf is counted, so post_order_select,
+next_sibling and num_leaves stay 0.
 """
 
 import math
@@ -155,11 +156,21 @@ def _sweep(pair: TreePair, metric: str, impl: str,
         ranks = (np.cumsum(leaf2, dtype=np.int32) - 1)[lj]
         ranks = ranks.tolist()
         leafpos = np.flatnonzero(lead2) + 1
+        rank1 = t2.bits.rank1
         step = 0
 
         def confirm(lo, hi, span):
-            q = t2.lca(int(leafpos[lo]), int(leafpos[hi]))
-            return t2.pre_order_map(q) if t2.num_leaves(q) == span else 0
+            # the lca v of leaves lo and hi spans no other leaf when only
+            # openings lead from v to leaf lo (at a), and only closings
+            # from leaf hi's close (b + 1) to v's; v's close would then be
+            # c = b + 1 + excess(b) - excess(v)
+            a = int(leafpos[lo])
+            b = int(leafpos[hi])
+            v = t2.lca(a, b)
+            j = rank1(v)
+            rb = rank1(b)
+            c = v + 1 + 2 * (rb - j)
+            return j if rank1(a) - j == a - v and rank1(c) == rb else 0
 
     frames = []     # (parent's lo, parent's hi, ranks used before, inner)
     push = frames.append
@@ -200,8 +211,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     # tree-1 pre-order index of each shared cluster, from its inner count
     ps = (np.flatnonzero(~leaf1) + 1)[[i for i, _ in found]]
     js = np.array([j for _, j in found], dtype=np.int64)
-    ops = (OpCounts(cluster_size=probes) if extended
-           else OpCounts(lca=probes, num_leaves=probes))
+    ops = OpCounts(cluster_size=probes) if extended else OpCounts(lca=probes)
     if weighted:
         lp = np.flatnonzero(leaf1)[leaf_image]
         a = pair.w1[np.concatenate([lp, ps - 1])]

@@ -10,12 +10,12 @@ are the usual base-128 with continuation bit.
 
 Decoding validates everything it touches: magic, version, flag bits,
 truncation at each step, pad bits, structural validity of the bit
-vector, label indexes and duplicates, and trailing garbage.  It also
-accepts only what write_newick can write back as the same tree: no
-internal node has a single child, every leaf has a name, every name is
-one non-empty newick label token, no name sits on two nodes, and every
-weight is finite.  The contract is decode(encode(x)) == x
-down to the bit.
+vector, label indexes and duplicates, and trailing garbage.  Encoding
+and decoding both accept only what write_newick can write back as the
+same tree: no internal node has a single child, every leaf has a name,
+every name is one non-empty newick label token, no name sits on two
+nodes, and every weight is finite.  The contract is decode(encode(x))
+== x down to the bit, and encode raises where decode would.
 """
 
 import struct
@@ -69,17 +69,63 @@ class _Reader:
                 raise PackError(f"overlong varint in {what}")
 
 
+def _check_writable(bits, names, w):
+    """Raise PackError unless write_newick can write the tree back as the
+    same tree.  bits is the 0/1 array, names a name or None per node in
+    pre-order, w the weights or None."""
+    # pair every opening bit with its closing bit: the bits of the nodes
+    # at one depth alternate open, close in position order
+    depth = np.cumsum(bits.astype(np.int64) * 2 - 1) + (bits == 0)
+    order = np.argsort(depth, kind="stable")
+    close = np.empty(len(bits), np.intp)
+    close[order[0::2]] = order[1::2]
+    # a node has one child when its first child's close is followed by its
+    # own close
+    first = np.flatnonzero(bits[:-1] & bits[1:]) + 1
+    single = first[bits[close[first] + 1] == 0]
+    if single.size:
+        raise PackError(f"node {np.count_nonzero(bits[:single[0]])} has a "
+                        "single child")
+    seen = set()
+    for i, name in enumerate(names, 1):
+        if name is None:
+            continue
+        if not _LABEL.fullmatch(name):
+            raise PackError(f"label {name!r} for node {i} is not a newick "
+                            "label")
+        if name in seen:
+            raise PackError(f"label {name!r} repeated on node {i}")
+        seen.add(name)
+    leaf = (bits[:-1] > bits[1:])[bits[:-1] == 1]
+    for i in np.flatnonzero(leaf).tolist():
+        if names[i] is None:
+            raise PackError(f"leaf {i + 1} has no label")
+    if w is not None:
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise PackError(f"weight of node {bad[0] + 1} is not finite")
+
+
 def pack(tree: BpTree, labels: LabelTable, weights=None) -> bytes:
-    """Canonical bytes for one tree; deterministic for identical inputs."""
+    """Canonical bytes for one tree; deterministic for identical inputs.
+    PackError for a tree that unpack would reject."""
     n = tree.n_nodes
+    names = [labels.name_of(i) for i in range(1, n + 1)]
+    w = None
+    if weights is not None:
+        w = np.asarray(weights, dtype="<f8")
+        if w.shape != (n,):
+            raise ValueError(f"weight vector must have length {n}")
+    _check_writable(tree.bits.to01(), names, w)
+
     out = bytearray(MAGIC)
     out.append(VERSION)
-    out.append(_FLAG_WEIGHTS if weights is not None else 0)
+    out.append(_FLAG_WEIGHTS if w is not None else 0)
     out += struct.pack("<Q", n)
     out += tree.bits.packed_bytes
 
-    entries = [(i, labels.name_of(i)) for i in range(1, n + 1)
-               if labels.name_of(i) is not None]
+    entries = [(i, name) for i, name in enumerate(names, 1)
+               if name is not None]
     out += struct.pack("<I", len(entries))
     for i, name in entries:
         _varint(out, i)
@@ -87,11 +133,8 @@ def pack(tree: BpTree, labels: LabelTable, weights=None) -> bytes:
         _varint(out, len(raw))
         out += raw
 
-    if weights is not None:
-        arr = np.asarray(weights, dtype="<f8")
-        if arr.shape != (n,):
-            raise ValueError(f"weight vector must have length {n}")
-        out += arr.tobytes()
+    if w is not None:
+        out += w.tobytes()
     return bytes(out)
 
 
@@ -121,25 +164,11 @@ def unpack(data: bytes):
         tree = BpTree(bits)
     except ValueError as e:
         raise PackError(f"bit vector is not a tree: {e}") from None
-    # pair every opening bit with its closing bit: the bits of the nodes
-    # at one depth alternate open, close in position order
-    depth = np.cumsum(bits.astype(np.int64) * 2 - 1) + (bits == 0)
-    order = np.argsort(depth, kind="stable")
-    close = np.empty(m, np.intp)
-    close[order[0::2]] = order[1::2]
-    # a node has one child when its first child's close is followed by its
-    # own close
-    first = np.flatnonzero(bits[:-1] & bits[1:]) + 1
-    single = first[bits[close[first] + 1] == 0]
-    if single.size:
-        raise PackError(f"node {np.count_nonzero(bits[:single[0]])} has a "
-                        "single child")
 
     (count,) = struct.unpack("<I", r.take(4, "label count"))
     if count > n:
         raise PackError("label count exceeds node count")
     names = [None] * n
-    seen = set()
     for _ in range(count):
         i = r.varint("label index")
         if not 1 <= i <= n:
@@ -151,27 +180,15 @@ def unpack(data: bytes):
             name = bytes(r.take(ln, "label bytes")).decode("utf-8")
         except UnicodeDecodeError:
             raise PackError(f"label for node {i} is not UTF-8") from None
-        if not _LABEL.fullmatch(name):
-            raise PackError(f"label {name!r} for node {i} is not a newick "
-                            "label")
-        if name in seen:
-            raise PackError(f"label {name!r} repeated on node {i}")
-        seen.add(name)
         names[i - 1] = name
-    leaf = (bits[:-1] > bits[1:])[bits[:-1] == 1]
-    for i in np.flatnonzero(leaf).tolist():
-        if names[i] is None:
-            raise PackError(f"leaf {i + 1} has no label")
 
     w = None
     if flags & _FLAG_WEIGHTS:
         wb = r.take(8 * n, "weight block")
         w = np.frombuffer(bytes(wb), dtype="<f8").astype(np.float64)
-        bad = np.flatnonzero(~np.isfinite(w))
-        if bad.size:
-            raise PackError(f"weight of node {bad[0] + 1} is not finite")
     if r.pos != len(data):
         raise PackError("trailing bytes after payload")
+    _check_writable(bits, names, w)
     return tree, LabelTable(names), w
 
 

@@ -128,14 +128,11 @@ def leafset(v):
 
 
 # ----------------------------------------------------------------------
-# linear-scan oracles for the bit vector
+# linear-scan oracles for the bit vector and the tree
 
 
 def rank1_scan(bits, p):
     return sum(bits[:p])
-
-def rank10_scan(bits, p):
-    return sum(1 for i in range(1, p) if bits[i - 1] == 1 and bits[i] == 0)
 
 def select_scan(bits, value, i):
     seen = 0
@@ -145,6 +142,13 @@ def select_scan(bits, value, i):
             if seen == i:
                 return idx + 1
     raise ValueError("not enough occurrences")
+
+
+def leaves_under(tree, p=1):
+    """Leaves in the subtree of a BpTree open at p: the openings that a
+    closing follows, counted over its bits."""
+    bits = tree.bits.to01()[p - 1:tree.find_close(p)].tolist()
+    return sum(1 for x, y in zip(bits, bits[1:]) if x > y)
 
 
 # ----------------------------------------------------------------------

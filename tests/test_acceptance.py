@@ -9,6 +9,7 @@ seconds.
 
 import math
 import random
+import struct
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -16,10 +17,10 @@ from contextlib import contextmanager
 from bprf.baseline import day_rf, naive_metric, parse_plain
 from bprf.cli import generate_pair_texts, generate_tree_text
 from bprf.distance import compute, erf, rf_nextsibling, rf_postorder, werf, wrf
-from bprf.newick import LabelTable, parse_pair
-from bprf.treeio import pack, size_report
+from bprf.newick import parse_pair, parse_tree
+from bprf.treeio import pack, size_report, unpack
 
-from conftest import preorder, related_texts
+from conftest import leaves_under, preorder, related_texts
 
 T2 = "(((B,C)F,D)G,(A,E)H)I;"
 T3 = "((B,(D,C)F)G,(A,E)H)I;"
@@ -60,8 +61,8 @@ def test_criterion_1_fixture_walkthrough():
         pb = t2.pre_order_select(code[5 - 1])
         anc = t2.lca(pa, pb)
         assert t2.pre_order_map(anc) == 6
-        assert t2.num_leaves(anc) == 3
-        assert t1.num_leaves(t1.pre_order_select(3)) == 2
+        assert leaves_under(t2, anc) == 3
+        assert leaves_under(t1, t1.pre_order_select(3)) == 2
 
         assert time.perf_counter() - t0 < 1.0
 
@@ -172,9 +173,16 @@ def test_criterion_4_space_accounting():
         assert rep.total_bits <= 40 * n
         assert rep.comparison_bits_day == 192 * n - 64
 
-        blob = pack(pair.t1, LabelTable([None] * n), None)
+        # the bit-vector section is exactly ceil(2n/8) bytes: the label
+        # block starts right after it, and unpack reads the blob to its end
+        tree, labels, _ = parse_tree(a)
+        blob = pack(tree, labels)
         bp_bytes = (2 * n + 7) // 8
-        assert len(blob) == 14 + bp_bytes + 4
+        assert blob[14:14 + bp_bytes] == pair.t1.bits.packed_bytes
+        assert len(pair.t1.bits.packed_bytes) == bp_bytes
+        assert struct.unpack("<I", blob[14 + bp_bytes:18 + bp_bytes]) \
+            == (leaves,)
+        assert unpack(blob)[0].bits.packed_bytes == blob[14:14 + bp_bytes]
 
 
 def test_criterion_5_runtime_scaling():
@@ -250,13 +258,15 @@ def _leaf_op_counts(a, b):
     c = _candidates(a, b, full=False)
 
     # tree 1 is read as a stream and makes no query; tree 2 is asked one
-    # lca and one leaf count per candidate, and nothing else
+    # lca per candidate, and nothing else: no leaf is counted
     po = rf_postorder(pair).ops
     assert po.post_order_select == 0
     assert po.next_sibling == 0
     assert po.cluster_size == 0
-    assert po.lca == po.num_leaves == c
-    assert po.total() == 2 * c <= n - 1
+    assert po.num_leaves == 0
+    assert po.lca == c
+    assert po.total() == c
+    assert 2 * c <= n - 1
 
     # both names run the one sweep, and weight folding changes no
     # traversal decisions

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bprf.bitvec import BitVector
 
-from conftest import rank1_scan, rank10_scan, select_scan
+from conftest import rank1_scan, select_scan
 
 # parenthesis bits of the two worked trees used throughout the test suite
 T4_BITS = [int(c) for c in "11110100100110101000"]
@@ -14,7 +14,6 @@ T5_BITS = [int(c) for c in "11101010011011010000"]
 def test_known_ranks():
     bv = BitVector(T4_BITS)
     assert bv.rank1(8) == 5
-    assert bv.rank10(8) == 2
     assert bv.rank1(0) == 0
     assert bv.rank1(20) == 10
 
@@ -45,11 +44,10 @@ def test_bit_access():
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=400))
 @settings(max_examples=150)
 def test_rank_matches_scan(bits):
-    """rank1/rank10 agree with a linear scan at every position."""
+    """rank1 agrees with a linear scan at every position."""
     bv = BitVector(bits)
     for p in range(len(bits) + 1):
         assert bv.rank1(p) == rank1_scan(bits, p)
-        assert bv.rank10(p) == rank10_scan(bits, p)
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=400))
@@ -81,23 +79,20 @@ def test_large_vector_against_scan():
     bv = BitVector(bits)
     for p in [0, 1, 63, 64, 65, 1024, 4096, 9999, 49_999, 50_000]:
         assert bv.rank1(p) == rank1_scan(bits, p)
-        assert bv.rank10(p) == rank10_scan(bits, p)
     ones = sum(bits)
     for i in [1, 2, 1000, ones // 2, ones]:
         assert bv.select1(i) == select_scan(bits, 1, i)
 
 
 def test_multiword_blocks_every_position():
-    """rank1, rank10 and select1 at every position of a vector whose
+    """rank1 and select1 at every position of a vector whose
     blocks span two words, against numpy prefix sums."""
     bits = np.random.default_rng(70).integers(0, 2, 70_000, dtype=np.uint8)
     bv = BitVector(bits)
     assert bv.block_words == 2
     ones = np.concatenate([[0], np.cumsum(bits)]).tolist()
-    tens = np.concatenate([[0, 0], np.cumsum(bits[:-1] > bits[1:])]).tolist()
     for p in range(len(bits) + 1):
         assert bv.rank1(p) == ones[p]
-        assert bv.rank10(p) == tens[p]
     for i, p in enumerate((np.flatnonzero(bits) + 1).tolist(), start=1):
         assert bv.select1(i) == p
 

@@ -26,18 +26,15 @@ def test_t4_navigation():
     assert t.lca(4, 6) == 3
     assert t.lca(6, 9) == 2
     assert t.cluster_size(3) == 3
-    assert t.num_leaves(3) == 2
     assert t.find_close(1) == 20
-    assert t.num_leaves(1) == 6
 
 
 def test_t5_navigation():
     t = BpTree(T5_BITS)
     # leaves A and B sit at positions 14 and 11; their join is the node
-    # open at 10, pre-order index 6, covering three leaves
+    # open at 10, pre-order index 6
     assert t.lca(14, 11) == 10
     assert t.pre_order_map(10) == 6
-    assert t.num_leaves(10) == 3
     assert t.lca(5, 5) == 5
     with pytest.raises(ValueError):
         t.lca(4, 4)  # position 4 closes a node
@@ -84,7 +81,7 @@ def test_lca_rejects_non_opening_positions():
 
 
 def _oracle_maps(root):
-    """parent, depth, subtree node count, subtree leaf count per node."""
+    """parent, depth and subtree node count per node."""
     parent = {id(root): None}
     depth = {id(root): 1}
     order = preorder(root)
@@ -93,12 +90,9 @@ def _oracle_maps(root):
             parent[id(c)] = v
             depth[id(c)] = depth[id(v)] + 1
     size = {}
-    nleaf = {}
     for v in reversed(order):
         size[id(v)] = 1 + sum(size[id(c)] for c in v.children)
-        nleaf[id(v)] = max(1 if not v.children else 0,
-                           sum(nleaf[id(c)] for c in v.children))
-    return parent, depth, size, nleaf
+    return parent, depth, size
 
 
 def _oracle_lca(parent, depth, a, b):
@@ -121,7 +115,7 @@ def test_navigation_matches_pointer_oracle(seed, n_leaves, arity):
     bits, positions = encode_bits(root)
     t = BpTree(bits)
     nodes = preorder(root)
-    _, depth, size, nleaf = _oracle_maps(root)
+    _, depth, size = _oracle_maps(root)
     pos_of = {id(v): positions[i] for i, v in enumerate(nodes)}
 
     assert t.n_nodes == len(nodes)
@@ -130,7 +124,6 @@ def test_navigation_matches_pointer_oracle(seed, n_leaves, arity):
         assert t.pre_order_map(p) == i + 1
         assert t.pre_order_select(i + 1) == p
         assert t.cluster_size(p) == size[id(v)]
-        assert t.num_leaves(p) == nleaf[id(v)]
         assert t.excess(p) == depth[id(v)]
         # adjacent siblings meet at their parent
         for a, b in zip(v.children, v.children[1:]):
@@ -145,7 +138,7 @@ def test_lca_matches_pointer_oracle(seed, n_leaves):
     bits, positions = encode_bits(root)
     t = BpTree(bits)
     nodes = preorder(root)
-    parent, depth, _, _ = _oracle_maps(root)
+    parent, depth, _ = _oracle_maps(root)
     pos_of = {id(v): positions[i] for i, v in enumerate(nodes)}
     for _ in range(30):
         a, b = rng.choice(nodes), rng.choice(nodes)
@@ -164,7 +157,7 @@ def test_lca_and_find_close_across_blocks(seed):
     bits, positions = encode_bits(root)
     t = BpTree(bits)
     nodes = preorder(root)
-    parent, depth, size, _ = _oracle_maps(root)
+    parent, depth, size = _oracle_maps(root)
     pos_of = {id(v): positions[i] for i, v in enumerate(nodes)}
     pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(300)]
     for _ in range(100):  # a node and one of its descendants
@@ -211,4 +204,3 @@ def test_deep_caterpillar():
     assert t.lca(deep, n) == n
     assert t.lca(n // 2, deep) == n // 2
     assert t.cluster_size(1) == n + 1
-    assert t.num_leaves(1) == 1

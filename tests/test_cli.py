@@ -13,8 +13,10 @@ import pytest
 import bprf
 from bprf.baseline import parse_plain
 from bprf.cli import build_parser, generate_pair_texts, generate_tree_text
-from bprf.newick import LabelTable, parse_pair, parse_tree
-from bprf.treeio import pack, size_report
+from bprf.newick import parse_pair, parse_tree
+from bprf.treeio import size_report
+
+from conftest import leaves_under
 
 T2 = "(((B,C)F,D)G,(A,E)H)I;"
 T3 = "((B,(D,C)F)G,(A,E)H)I;"
@@ -168,7 +170,7 @@ def test_gen_parses_back(nwk):
     for seed in range(5):
         text = generate_tree_text(30, seed, full=True, weights=True)
         tree, labels, w = parse_tree(text)
-        assert tree.num_leaves(1) == 30
+        assert leaves_under(tree) == 30
         assert all(labels.name_of(i) for i in range(1, tree.n_nodes + 1))
         assert w is not None
 
@@ -196,7 +198,7 @@ def test_gen_usage_error():
 def test_gen_arity_random():
     text = generate_tree_text(60, 5, arity="random")
     tree, labels, _ = parse_tree(text)
-    assert tree.num_leaves(1) == 60
+    assert leaves_under(tree) == 60
     # mixed arities actually occur
     kids = []
     stack = [parse_plain(text)]
@@ -263,11 +265,12 @@ def test_unpack_corrupt(tmp_path):
     # trees write_newick cannot write back: a leaf with no label, and
     # "(A);", whose root has one child (bits 1100)
     tree = parse_tree("((A,B),C);")[0]
+    unnamed = (b"SBPT\x01\x00" + (5).to_bytes(8, "little")
+               + tree.bits.packed_bytes + (2).to_bytes(4, "little")
+               + b"\x04\x01B\x05\x01C")
     unary = (b"SBPT\x01\x00" + (2).to_bytes(8, "little") + b"\xc0"
              + (1).to_bytes(4, "little") + b"\x02\x01A")
-    for data, what in ((pack(tree, LabelTable([None, None, None, "B",
-                                                "C"])), "leaf 3"),
-                       (unary, "node 1")):
+    for data, what in ((unnamed, "leaf 3"), (unary, "node 1")):
         p.write_bytes(data)
         r = run_cli("unpack", str(p))
         assert r.returncode == 2 and what in r.stderr, r.stderr

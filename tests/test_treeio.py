@@ -51,14 +51,25 @@ def test_roundtrip_weighted_exact():
 
 
 def test_unlabelled_tree_packs():
+    # write_newick would print "(,);", which the parser rejects, so pack
+    # refuses what unpack would
     tree = BpTree(np.array([1, 1, 0, 1, 0, 0], dtype=np.uint8))
-    labels = LabelTable([None, None, None])
-    data = pack(tree, labels)
-    assert len(data) == _HEADER + 1 + 4
-    assert struct.unpack("<I", data[_HEADER + 1:_HEADER + 5])[0] == 0
-    # write_newick would print "(,);", which the parser rejects
     with pytest.raises(PackError, match="leaf 2 has no label"):
-        unpack(data)
+        pack(tree, LabelTable([None, None, None]))
+
+
+def test_pack_rejects_what_unpack_rejects():
+    # "((A),B);": node 2 has the single child A
+    tree = BpTree(np.array([1, 1, 1, 0, 0, 1, 0, 0], dtype=np.uint8))
+    with pytest.raises(PackError, match="node 2 has a single child"):
+        pack(tree, LabelTable([None, None, "A", "B"]))
+    tree, labels, w = parse_tree("((A:1,B:2):3,C:4);")
+    with pytest.raises(PackError, match="label 'A' repeated on node 4"):
+        pack(tree, LabelTable([None, None, "A", "A", "C"]))
+    bad = w.copy()
+    bad[1] = float("nan")
+    with pytest.raises(PackError, match="weight of node 2 is not finite"):
+        pack(tree, labels, bad)
 
 
 def test_pack_deterministic():
@@ -136,6 +147,10 @@ def test_unpack_errors():
 
     # weights write_newick would print as ':nan' or ':inf', which the
     # parser rejects
+    for x in (float("nan"), float("inf")):
+        with pytest.raises(PackError, match="weight of node 5 is not "
+                                            "finite"):
+            unpack(wgood[:-8] + struct.pack("<d", x))
     tree, labels, w = parse_tree("((A:1,B:2):3,C:4);")
     for k, x in ((3, float("nan")), (2, float("inf")), (1, -float("inf"))):
         bad = w.copy()
@@ -190,6 +205,11 @@ def test_unpack_rejects_bad_label_block():
     with pytest.raises(PackError, match="duplicate"):
         unpack(doctored)
 
+    # one name on two nodes: B's entry renamed A
+    assert good.count(b"\x04\x01B") == 1
+    with pytest.raises(PackError, match="label 'A' repeated on node 4"):
+        unpack(good.replace(b"\x04\x01B", b"\x04\x01A"))
+
     # names write_newick could not write back as the same tree: once
     # these unpacked, and the text was rejected, misread, or changed
     tree = parse_tree("((A,B),C);")[0]
@@ -231,9 +251,10 @@ def test_support_overhead_declines():
     assert small.support_bits / 10**3 > big.support_bits / 10**6
     assert big.total_bits / 10**6 <= 40
     # a random 100k-leaf pair, as the benchmark parses: 2 bits of
-    # parentheses and 32 of map per node leave under 2 for directories
+    # parentheses and 32 of map per node leave under 1.7 for the one rank
+    # directory and the block-minimum tree
     pair = parse_pair(*generate_pair_texts(100_000, 1))
-    assert size_report(pair).total_bits / pair.t1.n_nodes <= 36
+    assert size_report(pair).total_bits / pair.t1.n_nodes <= 35.7
 
 
 def test_size_report_is_34n_plus_support():
