@@ -42,7 +42,7 @@ def parse_plain(text: str) -> PlainNode:
     cur = None
     while i < n:
         c = text[i]
-        if c in " \t\r\n":
+        if c.isspace():
             i += 1
         elif c == "(":
             v = PlainNode()

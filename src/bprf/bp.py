@@ -4,9 +4,10 @@ A tree with n nodes is the bit vector of its depth-first walk: 1 opens a
 node, 0 closes it, 2n bits total.  Node identity is carried two ways and
 both are 1-based: a position (index of an opening bit) and a pre-order
 index.  excess(p), the ones minus the zeros in positions 1..p, is the
-depth of the node open at position p.  The queries are the ones the
-distance sweep asks of tree 2: pre_order_map (one rank1), pre_order_select
-(one select1), lca and cluster_size (find_close).
+depth of the node open at position p, and rank1(p) of the bit vector
+is that node's pre-order index.  The queries are the ones the distance
+sweep asks of tree 2: pre_order_select (one select1), lca and
+cluster_size (find_close).
 
 Excess searches are served by a three-level structure: byte tables for
 in-block scans, per-block minima at the leaves of a flat segment tree for
@@ -94,10 +95,6 @@ class BpTree:
     def excess(self, p: int) -> int:
         """Depth measure: ones minus zeros in positions 1..p."""
         return 2 * self.bits.rank1(p) - p
-
-    def pre_order_map(self, p: int) -> int:
-        """Pre-order index of the node open at p."""
-        return self.bits.rank1(p)
 
     def pre_order_select(self, i: int) -> int:
         """Opening position of the i-th node in pre-order."""

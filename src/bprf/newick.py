@@ -1,26 +1,40 @@
 """Newick parsing straight into the succinct representation.
 
-A tree is read in one pass: every '(' appends an opening bit, every leaf
-appends an open-close pair, every ')' appends a closing bit.  Weights
-land in pre-order slots (slot i-1 for node i), and each label goes into
-one table that maps it to its node's pre-order index, so nothing pointer
-shaped is ever built.  A parsed pair keeps no names: the two tables die
-inside parse_pair once tree 2's has been walked to fill the code map,
-and it returns the two encodings, the code map and the weights.
-parse_tree turns its table into a LabelTable for write_newick and pack.
-Error offsets are not stored per node; an error recovers its offset by
-scanning the text again, and an error that concerns several labels or
-nodes names the first in pre-order.
+A tree is read into its balanced-parentheses bits: every '(' is an
+opening bit, every leaf an open-close pair, every ')' a closing bit.
+Weights land in pre-order slots (slot i-1 for node i), and each label
+maps to its node's pre-order index, so nothing pointer shaped is ever
+built.  A parsed pair keeps no names: tree 1's label table dies inside
+parse_pair once tree 2's labels have been looked up in it to fill the
+code map, and it returns the two encodings, the code map and the
+weights.  parse_tree keeps the names as a LabelTable for write_newick
+and pack.
+
+Each text is read by one of two passes.  The accepting pass,
+_fast_scan, works on the text's bytes with numpy: a class table finds
+the tokens, a table of which token may follow which and a running depth
+check the grammar, and one stable sort of the brackets and commas by
+depth pairs every ')' with its '(' and finds single-child nodes.  It
+either accepts the text, with every check the error pass makes, or
+gives up; it never reports an error.  It gives up on text that is not
+ASCII, on any '[', ']' or "'", on any fault, and on a pair that does not
+fit its mode, weighting or label set.  The error pass, _scan, then reads
+the text token by token and raises the exact error: its message, its
+character offset and which tree.  Error offsets are not stored per
+node; an error recovers its offset by scanning the text again, and an
+error that concerns several labels or nodes names the first in
+pre-order.
 
 Label syntax: a maximal run of characters excluding '(' ')' ',' ':' ';'
-'[' ']' "'" and whitespace.  Weight syntax: ':' immediately followed by
-a finite decimal literal with optional sign, fraction, and exponent; a
-literal past the float range, such as 1e999, is an error.  Comments
-('[...]') and quoted labels are not supported: their first '[', ']' or
-"'" is a parse error.  A weight on the root is accepted and discarded,
-the root has no entering edge.  Every internal node, the root included,
-needs two or more children: a node with one would repeat its child's
-cluster, so the ')' closing it is rejected.
+'[' ']' "'" and whitespace (every character that str.isspace accepts).
+Weight syntax: ':' immediately followed by a finite decimal literal
+with optional sign, fraction, and exponent; a literal past the float
+range, such as 1e999, is an error.  Comments ('[...]') and quoted labels
+are not supported: their first '[', ']' or "'" is a parse error.  A
+weight on the root is accepted and discarded, the root has no entering
+edge.  Every internal node, the root included, needs two or more
+children: a node with one would repeat its child's cluster, so the ')'
+closing it is rejected.
 
 Two labelling modes exist.  In leaf mode only leaves carry labels and
 internal labels are rejected; in full mode every node must carry one.
@@ -30,6 +44,7 @@ mode.
 
 import re
 from array import array
+from itertools import compress
 from math import isfinite
 
 import numpy as np
@@ -37,10 +52,29 @@ import numpy as np
 from .bp import BpTree
 
 _LABEL_CHAR = r"[^(),;:\s\[\]']"
-_TOKEN = re.compile(rf"[ \t\r\n]+|([(),;])|:({_LABEL_CHAR}*)"
+_TOKEN = re.compile(rf"\s+|([(),;])|:({_LABEL_CHAR}*)"
                     rf"|({_LABEL_CHAR}+)|([\[\]'])")
 _LABEL = re.compile(f"{_LABEL_CHAR}+")
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z")
+
+# The accepting pass's character classes, which are also its token kinds:
+# a label run is a _LAB token at its first character, unless a ':' comes
+# right before it, and a ':' is a _COLON token that owns the run after it.
+_LAB, _WS, _OPEN, _CLOSE, _COMMA, _SEMI, _COLON, _BAD = range(8)
+_CLASS = bytearray([_BAD]) * 256
+for _c in range(128):
+    _CLASS[_c] = _WS if chr(_c).isspace() else _LAB
+for _c, _k in zip(b"(),;:[]'", (_OPEN, _CLOSE, _COMMA, _SEMI, _COLON,
+                                _BAD, _BAD, _BAD)):
+    _CLASS[_c] = _k
+# the kinds that may follow each kind, as _scan's states allow them, coded
+# 8 * kind + next kind; a text starts with a kind that may follow ',' and
+# ends at its only ';'
+_FOLLOW = {_OPEN: (_OPEN, _LAB), _COMMA: (_OPEN, _LAB),
+           _LAB: (_COLON, _COMMA, _CLOSE, _SEMI),
+           _CLOSE: (_LAB, _COLON, _COMMA, _CLOSE, _SEMI),
+           _COLON: (_COMMA, _CLOSE, _SEMI)}
+_PAIRS = bytes(8 * a + b for a, follow in _FOLLOW.items() for b in follow)
 
 
 class ParseError(ValueError):
@@ -212,6 +246,108 @@ def _scan(text, tree_index):
     return bits, table, weights if any_weight else None, first_internal
 
 
+def _fast_scan(text, mode=None, weighted=False):
+    """The accepting pass over one tree: (bits, labels, at, weights), or
+    None when _scan must read the text.  bits is a uint8 array, labels
+    the labels in text order and at, int32, their nodes' pre-order
+    indices; weights is as _scan's.  mode "leaf" gives up on an internal
+    label and "full" on an unlabelled node; weighted gives up on a text
+    with no weight.  Repeated labels are the caller's to find."""
+    if not text.isascii():
+        return None
+    c = np.frombuffer(text.encode("ascii").translate(_CLASS), np.uint8)
+    tok = c >= _OPEN
+    tok[:1] |= c[:1] == _LAB
+    tok[1:] |= (c[1:] == _LAB) & (c[:-1] != _LAB) & (c[:-1] != _COLON)
+    kinds = c[tok]
+    del c, tok
+    # deleting the allowed codes of adjacent kinds leaves any other
+    pairs = (kinds[:-1] * 8 + kinds[1:]).tobytes()
+    if (not kinds.size or kinds[0] not in (_OPEN, _LAB)
+            or kinds[-1] != _SEMI or pairs.translate(None, _PAIRS)):
+        return None
+
+    # brackets and commas: ',' needs an open '(', ')' one to close and ';'
+    # none; a ')' whose level has no ',' closes a single child
+    sel = (kinds >= _OPEN) & (kinds <= _COMMA)
+    bk = kinds[sel]
+    step = (bk == _OPEN).view(np.int8) - (bk == _CLOSE).view(np.int8)
+    # np.add.accumulate, not np.cumsum: the latter's Python wrapper leaves
+    # interpreter free-list blocks that tracemalloc counts as held
+    depth = np.add.accumulate(step, dtype=np.int32)
+    if bk.size and (depth[-1] or np.minimum.reduce(depth) < 0
+                    or np.minimum.reduce(depth[bk == _COMMA], initial=1) < 1):
+        return None
+    # sorted stably by the level they belong to, each node's '(', its
+    # commas and its ')' are adjacent
+    key = depth + (bk == _CLOSE)
+    del depth
+    if key.size and key.max() < 2 ** 15:
+        key = key.astype(np.int16)  # numpy radix-sorts 16-bit keys
+    order = key.argsort(kind="stable").astype(np.int32)
+    del key
+    sk = bk[order]
+    if ((sk[:-1] == _OPEN) & (sk[1:] == _CLOSE)).any():
+        return None
+    oc = order[sk != _COMMA]
+    del order, sk
+
+    # pre-order index of each token's node: a '(' or a leaf opens the next
+    # one, a ')' is its '(''s, an internal label its ')''s and a weight
+    # the token's before it
+    is_lab = kinds == _LAB
+    internal = np.zeros(kinds.size, bool)
+    internal[1:] = is_lab[1:] & (kinds[:-1] == _CLOSE)
+    if mode == "leaf" and internal.any():
+        return None
+    node = (kinds == _OPEN) | (is_lab ^ internal)
+    cur = np.add.accumulate(node, dtype=np.int32)
+    n = int(cur[-1])
+    cb = cur[sel]
+    cb[oc[1::2]] = cb[oc[0::2]]
+    cur[sel] = cb
+    del sel, cb, oc
+    cur[1:][internal[1:]] = cur[:-1][internal[1:]]
+    colon = kinds == _COLON
+    cur[1:][colon[1:]] = cur[:-1][colon[1:]]
+    n_lab = int(np.count_nonzero(is_lab))
+    if mode == "full" and n_lab != n:
+        return None
+    at, w_at = cur[is_lab], cur[colon]
+    is_w = kinds[is_lab | colon] == _COLON  # which runs are weight literals
+
+    # every node writes its opening bit, then its closing bit; a '(' writes
+    # only the first and a ')' only the second, 2 marks the bit not written
+    s = kinds[node | (kinds == _CLOSE)]
+    del kinds, is_lab, internal, node, cur, colon  # before the labels exist
+    emit = np.empty((s.size, 2), np.uint8)
+    emit[:, 0] = s == _CLOSE
+    emit[:, 0] += 1
+    emit[:, 1] = s == _OPEN
+    emit[:, 1] *= 2
+    emit = emit.ravel()
+    bits = emit[emit < 2]
+    del s, emit
+
+    # one run per label and per weight literal, in text order
+    labels = _LABEL.findall(text)
+    if len(labels) != n_lab + w_at.size or weighted and not w_at.size:
+        return None
+    w = None
+    if w_at.size:
+        literals = list(compress(labels, is_w.tolist()))
+        if not all(map(_NUMBER.match, literals)):
+            return None
+        vals = np.fromstring(",".join(literals), sep=",")
+        if not np.isfinite(vals).all():
+            return None
+        labels = list(compress(labels, (~is_w).tolist()))
+        w = np.zeros(n)
+        w[w_at - 1] = vals
+        w[0] = 0.0  # the root's weight is discarded
+    return bits, labels, at, w
+
+
 def _node_offset(text, k):
     """Offset of the '(' or leaf label opening pre-order node k of a text
     that scanned cleanly; error paths only."""
@@ -244,6 +380,46 @@ def parse_pair(text1: str, text2: str, mode: str = "leaf",
     """
     if mode not in ("leaf", "full"):
         raise ValueError(f"unknown mode {mode!r}")
+    parts = _fast_pair(text1, text2, mode, weighted)
+    if parts is None:
+        parts = _checked_pair(text1, text2, mode, weighted)
+    bits1, bits2, code, w1, w2 = parts
+    return TreePair(BpTree(bits1), BpTree(bits2), code, w1, w2, mode)
+
+
+def _fast_pair(text1, text2, mode, weighted):
+    """(bits1, bits2, code, w1, w2) by the accepting pass, or None; the
+    weights are None unless weighted.  Tree 1's scan is let go before
+    tree 2's starts, and tree 2's labels are looked up in tree 1's table
+    without a table of their own."""
+    scan = _fast_scan(text1, mode, weighted)
+    if scan is None:
+        return None
+    bits1, labels, at, w1 = scan
+    table = dict(zip(labels, at.tolist()))
+    if len(table) < len(labels):
+        return None
+    del scan, labels, at
+    scan = _fast_scan(text2, mode, weighted)
+    if scan is None or len(scan[1]) != len(table):
+        return None
+    bits2, labels, at, w2 = scan
+    try:
+        into = np.fromiter(map(table.__getitem__, labels), np.int32,
+                           len(labels))
+    except KeyError:
+        return None
+    code = np.zeros(len(bits1) // 2, np.int32)
+    code[into - 1] = at
+    if np.count_nonzero(code) < len(labels):  # a tree-2 label repeated
+        return None
+    if not weighted:
+        w1 = w2 = None
+    return bits1, bits2, code, w1, w2
+
+
+def _checked_pair(text1, text2, mode, weighted):
+    """parse_pair by the error pass: the same parts, or its exact error."""
     scans = (_scan(text1, 1), _scan(text2, 2))
     for k, text, (bits, table, _, first_internal) in zip(
             (1, 2), (text1, text2), scans):
@@ -276,15 +452,9 @@ def parse_pair(text1: str, text2: str, mode: str = "leaf",
                                  len(text2), 2)
     code = np.zeros(len(bits1) // 2, np.int32)
     code[into - 1] = np.fromiter(table2.values(), np.int32, len(table2))
-
-    return TreePair(
-        BpTree(np.frombuffer(bits1, np.uint8)),
-        BpTree(np.frombuffer(bits2, np.uint8)),
-        code,
-        np.array(w1) if weighted else None,
-        np.array(w2) if weighted else None,
-        mode,
-    )
+    return (np.frombuffer(bits1, np.uint8), np.frombuffer(bits2, np.uint8),
+            code, np.array(w1) if weighted else None,
+            np.array(w2) if weighted else None)
 
 
 def parse_tree(text: str):
@@ -293,12 +463,19 @@ def parse_tree(text: str):
     Mode constraints do not apply to a standalone tree; internal labels
     are kept when present, and weights whenever the text has one.
     """
-    bits, table, weights, _ = _scan(text, 1)
+    scan = _fast_scan(text)
+    if scan is not None and len(set(scan[1])) == len(scan[1]):
+        bits, labels, at, w = scan
+        at = at.tolist()
+    else:
+        bits, table, w, _ = _scan(text, 1)
+        bits = np.frombuffer(bits, np.uint8)
+        labels, at = table.keys(), table.values()
+        w = None if w is None else np.array(w)
     names = [None] * (len(bits) // 2)
-    for name, i in table.items():
+    for name, i in zip(labels, at):
         names[i - 1] = name
-    w = None if weights is None else np.array(weights)
-    return BpTree(np.frombuffer(bits, np.uint8)), LabelTable(names), w
+    return BpTree(bits), LabelTable(names), w
 
 
 def write_newick(tree: BpTree, labels: LabelTable, weights=None) -> str:

@@ -60,7 +60,7 @@ def test_criterion_1_fixture_walkthrough():
         pa = t2.pre_order_select(code[4 - 1])
         pb = t2.pre_order_select(code[5 - 1])
         anc = t2.lca(pa, pb)
-        assert t2.pre_order_map(anc) == 6
+        assert t2.bits.rank1(anc) == 6
         assert leaves_under(t2, anc) == 3
         assert leaves_under(t1, t1.pre_order_select(3)) == 2
 

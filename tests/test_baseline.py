@@ -109,3 +109,13 @@ def test_parse_plain_rejects_what_parse_pair_rejects(text):
         parse_pair(text, text, weighted=True)
     with pytest.raises(ValueError):
         naive_metric(text, text, "wrf")
+
+
+@pytest.mark.parametrize("ws", list(" \t\n\r\x0b\x0c\x1c\x1f\xa0\u2003"))
+def test_parse_plain_reads_every_whitespace(ws):
+    # every character str.isspace accepts separates tokens, as in
+    # parse_pair; the plain parser once looped forever on \x0b and \x0c
+    text = f"{ws}((A,{ws}B),(C,D{ws}){ws},E);{ws}"
+    assert to_newick(parse_plain(text)) == "((A,B),(C,D),E);"
+    assert parse_pair(text, text).code_map.tolist() == \
+        [0, 0, 3, 4, 0, 6, 7, 8]

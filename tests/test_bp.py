@@ -20,7 +20,7 @@ def test_t4_navigation():
     assert t.n_nodes == 10
     assert t.find_close(3) == 8
     assert t.pre_order_select(3) == 3
-    assert t.pre_order_map(9) == 6
+    assert t.bits.rank1(9) == 6
     # the leaves open at 4 and 6 are the children of the node open at 3,
     # which with the leaf open at 9 are the children of the node open at 2
     assert t.lca(4, 6) == 3
@@ -34,7 +34,7 @@ def test_t5_navigation():
     # leaves A and B sit at positions 14 and 11; their join is the node
     # open at 10, pre-order index 6
     assert t.lca(14, 11) == 10
-    assert t.pre_order_map(10) == 6
+    assert t.bits.rank1(10) == 6
     assert t.lca(5, 5) == 5
     with pytest.raises(ValueError):
         t.lca(4, 4)  # position 4 closes a node
@@ -121,7 +121,7 @@ def test_navigation_matches_pointer_oracle(seed, n_leaves, arity):
     assert t.n_nodes == len(nodes)
     for i, v in enumerate(nodes):
         p = pos_of[id(v)]
-        assert t.pre_order_map(p) == i + 1
+        assert t.bits.rank1(p) == i + 1
         assert t.pre_order_select(i + 1) == p
         assert t.cluster_size(p) == size[id(v)]
         assert t.excess(p) == depth[id(v)]

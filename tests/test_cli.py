@@ -30,9 +30,12 @@ _ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
                   os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*argv, **kw):
+def run_cli(*argv, timeout=120, **kw):
+    """Run bprf as a subprocess; one that hangs fails its test at the
+    timeout instead of stalling the suite."""
     return subprocess.run([sys.executable, "-m", "bprf.cli", *argv],
-                          capture_output=True, text=True, env=_ENV, **kw)
+                          capture_output=True, text=True, env=_ENV,
+                          timeout=timeout, **kw)
 
 
 @pytest.fixture
@@ -70,6 +73,17 @@ def test_dist_self_zero(nwk):
 def test_dist_day_matches(nwk):
     r = run_cli("dist", nwk("a", T4), nwk("b", T5), "--algo", "day", "--raw")
     assert (r.returncode, r.stdout) == (0, "2\n")
+
+
+def test_dist_day_odd_whitespace(nwk):
+    # every character str.isspace accepts separates tokens in both
+    # parsers; Day's reads the text again after parse_pair accepts it
+    b = nwk("b", "((A,B),(C,D),E);")
+    for ws in "\x0b\x0c\x1c\x1f\xa0":
+        a = nwk("a", f"((A,B),(C,{ws}D),E);")
+        for algo in ("postorder", "day"):
+            r = run_cli("dist", a, b, "--algo", algo, timeout=60)
+            assert (r.returncode, r.stdout) == (0, "0\n"), (ws, algo)
 
 
 def test_dist_weighted_12_digits(nwk):

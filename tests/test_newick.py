@@ -1,22 +1,25 @@
 """Parser tests: frozen join tables, error offsets, round trips."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bprf import newick
 from bprf.newick import (
     LabelMismatchError,
     ModeError,
     ParseError,
+    TreePair,
     parse_pair,
     parse_tree,
     write_newick,
 )
 
-from bprf.cli import generate_pair_texts
+from bprf.cli import generate_pair_texts, generate_tree_text
 
 from conftest import assign_labels, encode_bits, random_topology, to_newick
 
@@ -247,6 +250,14 @@ def test_pair_retains_few_bits_per_node():
 def test_whitespace_tolerated():
     pair = parse_pair(" ( (A , B) ,\n\tC ) ;", "(C,(B,A));")
     assert pair.code_map.tolist() == [0, 0, 5, 4, 2]
+    # every character str.isspace accepts is whitespace, ASCII (the
+    # accepting pass) or not (the error pass)
+    for ws in "\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2003":
+        pair = parse_pair(f"({ws}(A,{ws}B),C{ws}){ws};", "(C,(B,A));")
+        assert pair.code_map.tolist() == [0, 0, 5, 4, 2]
+        with pytest.raises(ParseError) as ei:
+            parse_tree(f"(A{ws}B,C);")
+        assert ei.value.offset == 3 and "unexpected label" in str(ei.value)
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,3 +303,150 @@ def test_leaf_join_random(seed, n_leaves):
             nonzero += 1
             assert labels2.name_of(j) == name
     assert nonzero == n_leaves
+
+
+# ----------------------------------------------------------------------
+# the accepting pass against the error pass
+
+
+def _outcome(parse, *args, **kw):
+    """What a parse gives, as comparable values: its result with the
+    weights' exact bytes, or its error's type, message, offset and tree."""
+    try:
+        r = parse(*args, **kw)
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "offset", None), \
+            getattr(e, "tree_index", None)
+
+    def w(a):
+        return None if a is None else (a.dtype.str, a.tobytes())
+
+    if isinstance(r, TreePair):
+        return (r.t1.bits.to01().tobytes(), r.t2.bits.to01().tobytes(),
+                r.code_map.dtype.str, r.code_map.tobytes(), w(r.w1), w(r.w2),
+                r.mode)
+    tree, labels, weights = r
+    return tree.bits.to01().tobytes(), tuple(labels._names), w(weights)
+
+
+def _both_passes(parse, *args, **kw):
+    """The outcome as parse gives it, and with the accepting pass made to
+    give up, so that _scan reads every text."""
+    fast = _outcome(parse, *args, **kw)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newick, "_fast_scan", lambda *a, **k: None)
+        slow = _outcome(parse, *args, **kw)
+    return fast, slow
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30),
+       st.sampled_from(["binary", "mixed"]), st.booleans(), st.booleans(),
+       st.sampled_from(["leaf", "full"]), st.booleans())
+def test_fast_path_matches_error_pass(seed, n_leaves, arity, full, weights,
+                                      mode, weighted):
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(2):
+        root = random_topology(rng, n_leaves, arity)
+        assign_labels(root, rng, full=full, weights=weights)
+        texts.append(to_newick(root, weights=weights))
+    fast, slow = _both_passes(parse_pair, *texts, mode=mode,
+                              weighted=weighted)
+    assert fast == slow
+    for text in texts:
+        fast, slow = _both_passes(parse_tree, text)
+        assert fast == slow
+        # every tree here is accepted, and by the accepting pass
+        assert newick._fast_scan(text) is not None
+
+
+# characters that make and break tokens, odd whitespace and non-ASCII
+# among them, and fragments that make whole tokens
+_FUZZ = list("(),;:[]' \t\n\r\x0b\x0c\x1c\x1f\xa0\u2003AB1.5e-+_\x00") + [
+    "L1", "I1", "L2", ":0.5", ":-0", "1e999", ":nan", ")I2"]
+
+
+def _mutate(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 and chars:
+            del chars[min(i, len(chars) - 1)]
+        elif op == 1:
+            chars.insert(i, rng.choice(_FUZZ))
+        elif chars:
+            chars[min(i, len(chars) - 1)] = rng.choice(_FUZZ)
+    return "".join(chars)
+
+
+def test_fast_path_matches_error_pass_on_mutants():
+    rng = random.Random(20261019)
+    accepted = 0
+    for _ in range(1500):
+        n_leaves = rng.randint(1, 10)
+        arity = rng.choice(["binary", "mixed"])
+        full, weights = rng.random() < 0.5, rng.random() < 0.5
+        texts = []
+        for _ in range(2):
+            root = random_topology(rng, n_leaves, arity)
+            assign_labels(root, rng, full=full, weights=weights)
+            texts.append(to_newick(root, weights=weights))
+        k = rng.randrange(3)  # 2: neither text mutated
+        if k < 2:
+            texts[k] = _mutate(rng, texts[k])
+        # mostly the mode and weighting that fit the texts
+        mode = "full" if full != (rng.random() < 0.1) else "leaf"
+        weighted = weights != (rng.random() < 0.1)
+        fast, slow = _both_passes(parse_pair, *texts, mode=mode,
+                                  weighted=weighted)
+        assert fast == slow, texts
+        accepted += not isinstance(fast[0], type)
+        for text in texts:
+            fast, slow = _both_passes(parse_tree, text)
+            assert fast == slow, text
+    assert accepted > 300
+
+
+@pytest.mark.parametrize("full,weights", [(False, False), (True, False),
+                                          (False, True), (True, True)])
+def test_fast_path_taken(full, weights):
+    # if the accepting pass gave up on ordinary input, every answer would
+    # stay right and only the benchmark would show it
+    text = generate_tree_text(3000, 11, "random", full, weights)
+    assert newick._fast_scan(text) is not None
+    assert newick._fast_scan(text, "full" if full else "leaf",
+                             weights) is not None
+    a, b = generate_pair_texts(3000, 12, "random", full, weights)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newick, "_scan", None)  # any fallback fails the test
+        parse_pair(a, b, "full" if full else "leaf", weights)
+        parse_tree(text)
+
+
+def test_fast_path_taken_on_deep_caterpillar():
+    # depth 69,999: the sort keys stay int32; as int16 the levels 65,536
+    # apart would share a key and internal labels would land on the
+    # wrong nodes
+    n = 70_000
+    text = ("(" * (n - 1) + "L0"
+            + "".join(f",L{i})I{i}:{i}" for i in range(1, n)) + ";")
+    scan = newick._fast_scan(text, "full", True)
+    assert scan is not None
+    bits, table, w, _ = newick._scan(text, 1)
+    assert scan[0].tobytes() == bytes(bits)
+    assert dict(zip(scan[1], scan[2].tolist())) == table
+    assert scan[3].tolist() == w.tolist()
+
+
+@pytest.mark.parametrize("a,b,mode", [
+    ("(A,A,B);", "(A,B);", "leaf"),        # tree 1's table has 2 labels
+    ("(A,B,C);", "(A,A,C);", "leaf"),      # tree 2's labels all in tree 1
+    ("((A,B)A,C)R;", "((A,B)X,C)R;", "full"),
+    ("((A,B)X,C)R;", "((A,B)X,C)A;", "full"),
+])
+def test_repeated_label_left_to_error_pass(a, b, mode):
+    fast, slow = _both_passes(parse_pair, a, b, mode=mode)
+    assert fast == slow
+    assert fast[0] is ParseError and "duplicate label" in fast[1]
