@@ -5,9 +5,10 @@ node, 0 closes it, 2n bits total.  Node identity is carried two ways and
 both are 1-based: a position (index of an opening bit) and a pre-order
 index.  excess(p), the ones minus the zeros in positions 1..p, is the
 depth of the node open at position p, and rank1(p) of the bit vector
-is that node's pre-order index.  The queries are the ones the distance
-sweep asks of tree 2: pre_order_select (one select1), lca and
-cluster_size (find_close).
+is that node's pre-order index.  BpTree answers one node at a time:
+pre_order_select (one select1), lca and cluster_size (find_close).
+subtree_sizes answers cluster_size for every node at once, from the bits
+and one sort; the distance computation uses only that.
 
 Excess searches are served by a three-level structure: byte tables for
 in-block scans, per-block minima at the leaves of a flat segment tree for
@@ -49,6 +50,37 @@ for _b in range(256):
     _BYTE_MIN.append(_mn)
 
 
+def _excess(bits):
+    """Ones minus zeros in positions 1..p for every p, as int32: the
+    depth of the node open at p.  The steps are int8, so no wider copy of
+    the bits is made."""
+    step = bits.view(np.int8) * np.int8(2)
+    step -= 1
+    return np.add.accumulate(step, dtype=np.int32)
+
+
+def subtree_sizes(bits):
+    """Every node's subtree size in nodes, by 0-based pre-order index, as
+    int32; bits is a balanced 0/1 uint8 array.
+
+    A node's opening and closing bits share a level, excess minus bit,
+    and at each level the bits alternate open, close in position order.
+    So one stable sort of the positions by level pairs every opening bit
+    with its closing bit.  Levels below 2**15 are sorted as int16 keys,
+    which numpy radix-sorts."""
+    key = _excess(bits)
+    key -= bits
+    if key.max() < 2 ** 15:
+        key = key.astype(np.int16)
+    order = key.argsort(kind="stable").astype(np.int32)
+    opens, closes = order[0::2], order[1::2]
+    sizes = np.empty(order.size // 2, np.int32)
+    # of the p bits before an opening bit at p, key[p] more are ones than
+    # zeros, so (p + key[p]) / 2 are ones: its 0-based pre-order index
+    sizes[(opens + key[opens]) >> 1] = (closes - opens + 1) >> 1
+    return sizes
+
+
 class BpTree:
     """Queries over a balanced-parentheses tree encoding."""
 
@@ -59,7 +91,7 @@ class BpTree:
         if m < 2 or m % 2:
             raise ValueError("parenthesis sequence must have positive even length")
 
-        cum = np.cumsum(arr.astype(np.int64) * 2 - 1)
+        cum = _excess(arr)
         if int(cum[-1]) != 0 or int(cum[:-1].min(initial=1)) < 1:
             raise ValueError("not a balanced sequence with a single root")
 

@@ -1,32 +1,32 @@
-"""The four distances over a parsed pair, from one linear scan of tree 1.
-
-Tree 1's parenthesis sequence already is its depth-first walk, so the
-sweep reads it once, left to right, with one frame stack and no
-navigation query.  It reads the bits as tokens: an opening bit that a
-closing bit follows is a leaf, any other opening bit opens an internal
-node and saves its parent's frame, and any other closing bit closes the
-internal node on top.
+"""The four distances over a parsed pair, from whole-array passes over
+the two trees' bits.
 
 Whether a cluster is shared is decided by the interval test of Day's
-algorithm (W. H. E. Day, J. Classification 2, 1985), run on the succinct
-trees with no interval table.  Every element of a cluster gets a rank in
-tree 2: in leaf mode a leaf's rank among tree 2's leaves, in
-fully-labelled mode a node's tree-2 pre-order index.  A cluster of tree
-2 is then a contiguous range of ranks.  The sweep carries the least and
-greatest rank of the node on top as plain ints, and folds them into the
-parent when the node closes.  A tree-1 cluster can only be shared when
-hi - lo + 1 equals its leaf count (leaf mode) or its size
-(fully-labelled mode), so only those candidates ask tree 2 anything.  In
-leaf mode the lca of the leaves ranked lo and hi must span no other
-leaf, and it is the match; rank1 reads that from the bits at its two
-edges, with no leaf count.  In fully-labelled mode the node whose
-pre-order index is lo must have exactly that subtree size; it is the
-match, and no lca is needed.
+algorithm (W. H. E. Day, J. Classification 2, 1985).  Every element of a
+cluster gets a rank in tree 2: in leaf mode a leaf's rank among tree 2's
+leaves, in fully-labelled mode a node's tree-2 pre-order index.  A
+cluster of tree 2 is then a contiguous range of ranks.
+
+Nothing is walked node by node.  One stable sort pairs each tree's
+opening bits with their closing bits (bp.subtree_sizes), which gives
+every node's subtree size in pre-order.  Tree 1's internal node i then
+spans the pre-order slots [i, i + size): its own and its descendants'
+ranks in fully-labelled mode, the ranks of its leaves L..R in leaf
+mode.  A sparse table over the ranks, built one level at a time in
+place, gives the least and greatest rank of every node at once.  A
+node can only be shared when those differ by its span less one; only
+these candidates are put to tree 2, all in one batch, once tree 1's
+arrays are let go.  In fully-labelled mode the tree-2 node whose
+pre-order index is the least rank must have the candidate's size; it is
+the match.  In leaf mode each internal node of tree 2 spans the leaf
+ranks [L, R], and in pre-order the keys L * N + (N - 1 - R) strictly
+increase, since no node has a single child; one searchsorted finds every
+candidate's key, and with it the match.  This is Day's cluster table,
+built for one call from the bits and dropped after it.
 
 Every node is a cluster, and a leaf's is its singleton.  Leaf
 singletons are shared by the label map itself in leaf mode; in
-fully-labelled mode a leaf's image must be a leaf too.  Which are shared
-comes from numpy, outside the loop, and asks tree 2 nothing.  Unweighted
+fully-labelled mode a leaf's image must be a leaf too.  Unweighted
 results count the clusters of either tree that the other lacks; in leaf
 mode the singletons cancel, so only internal clusters count there.  The
 root always matches because both trees span the same label set.  Weighted
@@ -38,15 +38,15 @@ cost |w1(c)| + |w2(c)| as they stand.  Every term is exact and fsum
 rounds the exact sum once, which makes the identity exactly 0.0 and the
 result exactly symmetric and never negative.  When a partial sum leaves
 the float range, the same terms are summed as fractions and rounded
-once, to inf if the sum itself lies past the range.
+once, to inf if the sum itself lies past the range.  Shared clusters
+are captured in tree 1's closing order.
 
 "postorder" and "nextsibling", the names of two earlier tree-1 walks,
-both name this sweep; a result echoes the name it was asked for.  Every
-call reports how often it asked the tree-2 queries whose per-call cost
-is not constant: an lca per leaf-mode candidate, a cluster_size per
-fully-labelled one.  The counts back the traversal-bound tests.  Tree 1
-makes no query and no leaf is counted, so post_order_select,
-next_sibling and num_leaves stay 0.
+both name this computation; a result echoes the name it was asked for.
+Every call reports how many candidates it put to tree 2, in one batch:
+as lca in leaf mode and as cluster_size in fully-labelled mode.  The
+counts back the traversal-bound tests.  post_order_select, next_sibling
+and num_leaves stay 0.
 """
 
 import math
@@ -56,6 +56,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bp import subtree_sizes
 from .newick import ModeError, TreePair
 
 # each metric fixes how a pair is read: (labelling mode, weighted)
@@ -114,103 +115,102 @@ def _fraction_sum(terms) -> float:
         return math.inf
 
 
+def _extremes(vals, lo, hi):
+    """The least and the greatest of vals[lo[k]..hi[k]] for every k.
+
+    A sparse table is built one level at a time, in place: at level t
+    slot i holds the extremes of the 2**t values from i on.  A range
+    whose length lies in [2**t, 2**(t+1)) is covered by two level-t
+    windows, one from each end, so its queries are answered before level
+    t + 1 overwrites level t.  Two tables of len(vals) slots are held."""
+    level = np.frexp(hi - lo + 1)[1] - 1
+    by = level.astype(np.int8).argsort(kind="stable")
+    least = np.empty(lo.size, vals.dtype)
+    most = np.empty(lo.size, vals.dtype)
+    mn = vals.copy()
+    mx = vals.copy()
+    start = 0
+    for t, count in enumerate(np.bincount(level).tolist()):
+        if t:
+            h = 1 << (t - 1)
+            w = vals.size - 2 * h + 1   # slots whose 2**t values exist
+            np.minimum(mn[:w], mn[h:h + w], out=mn[:w])
+            np.maximum(mx[:w], mx[h:h + w], out=mx[:w])
+        q = by[start:start + count]
+        start += count
+        a = lo[q]
+        b = hi[q] - ((1 << t) - 1)
+        least[q] = np.minimum(mn[a], mn[b])
+        most[q] = np.maximum(mx[a], mx[b])
+    return least, most
+
+
 def _sweep(pair: TreePair, metric: str, impl: str,
            capture: bool) -> DistanceResult:
     if impl not in IMPLS:
         raise ValueError(f"unknown implementation {impl!r}")
     mode, weighted = METRICS[metric]
     extended = mode == "full"
-    t2 = pair.t2
     code = pair.code_map
 
-    # a leaf is an opening bit that a closing bit follows; lead marks the
-    # leaves' opening bits, leaf the leaves by pre-order index
-    bits1 = pair.t1.bits.to01()
-    lead1 = bits1[:-1] > bits1[1:]
-    leaf1 = lead1[bits1[:-1].view(bool)]
-    bits2 = t2.bits.to01()
-    lead2 = bits2[:-1] > bits2[1:]
-    leaf2 = lead2[bits2[:-1].view(bool)]
+    # leaf1 and leaf2 mark the leaves by pre-order index; a leaf is an
+    # opening bit that a closing bit follows, or a node of size 1
+    bits2 = pair.t2.bits.to01()
+    leaf2 = (bits2[:-1] > bits2[1:])[bits2[:-1].view(bool)]
+    del bits2
+    size = subtree_sizes(pair.t1.bits.to01())
+    leaf1 = size == 1
     # the tree-2 pre-order index (0-based) of each tree-1 leaf's image, and
     # which images are leaves too: always so in leaf mode
     lj = code[leaf1] - 1
     leaf_image = leaf2[lj]
 
-    # tree 1 as tokens: 1 opens an internal node, 2 is a leaf, 0 closes an
-    # internal node
-    tokens = bits1.copy()
-    tokens[:-1] += lead1
-    tokens = tokens[np.insert(~lead1, 0, True)]
-
+    # tree 1's internal node i spans the pre-order slots [i, end); its
+    # ranks are its nodes' tree-2 pre-order indices in fully-labelled
+    # mode, its leaves' tree-2 leaf ranks in leaf mode
+    inner = np.flatnonzero(~leaf1)
+    end = inner + size[inner]
+    del size
     if extended:
-        # every node's own tree-2 pre-order index, in tree-1 pre-order
-        ranks = code.tolist()
-        step = 1
-
-        def confirm(lo, hi, span):
-            q = t2.pre_order_select(lo)
-            return lo if t2.cluster_size(q) == span else 0
+        ranks, lo, hi = code, inner, end - 1
     else:
-        # every leaf's tree-2 leaf rank, in tree-1 leaf order; an internal
-        # node starts from its first leaf's rank without using it up
-        ranks = (np.cumsum(leaf2, dtype=np.int32) - 1)[lj]
-        ranks = ranks.tolist()
-        leafpos = np.flatnonzero(lead2) + 1
-        rank1 = t2.bits.rank1
-        step = 0
+        ranks = (np.add.accumulate(leaf2, dtype=np.int32) - 1)[lj]
+        before = np.zeros(leaf1.size + 1, np.int32)  # leaves before a slot
+        np.add.accumulate(leaf1, dtype=np.int32, out=before[1:])
+        lo, hi = before[inner], before[end] - 1
+        del before
+    least, most = _extremes(ranks, lo, hi)
+    # the ranks are contiguous: a tree-2 cluster if one node spans them
+    cand = np.flatnonzero(most - least == hi - lo)
+    inner, end, width = inner[cand], end[cand], (hi - lo)[cand]
+    least, most = least[cand], most[cand]
+    del ranks, lo, hi, cand
 
-        def confirm(lo, hi, span):
-            # the lca v of leaves lo and hi spans no other leaf when only
-            # openings lead from v to leaf lo (at a), and only closings
-            # from leaf hi's close (b + 1) to v's; v's close would then be
-            # c = b + 1 + excess(b) - excess(v)
-            a = int(leafpos[lo])
-            b = int(leafpos[hi])
-            v = t2.lca(a, b)
-            j = rank1(v)
-            rb = rank1(b)
-            c = v + 1 + 2 * (rb - j)
-            return j if rank1(a) - j == a - v and rank1(c) == rb else 0
-
-    frames = []     # (parent's lo, parent's hi, ranks used before, inner)
-    push = frames.append
-    pop = frames.pop
-    k = 0           # ranks used so far
-    lo = hi = 0     # least and greatest rank of the node on top
-    inner = 0       # internal nodes opened so far
-    probes = 0
-    found = []      # (inner, tree-2 pre-order index) per shared cluster
-
-    for tok in tokens.tobytes():
-        if tok == 2:
-            r = ranks[k]
-            k += 1
-            if r < lo:
-                lo = r
-            elif r > hi:
-                hi = r
-        elif tok:
-            push((lo, hi, k, inner))
-            inner += 1
-            lo = hi = ranks[k]
-            k += step
-        else:
-            plo, phi, before, i = pop()
-            if hi - lo + before + 1 == k:
-                # the ranks are contiguous: a tree-2 cluster if one node
-                # spans exactly them
-                probes += 1
-                j = confirm(lo, hi, k - before)
-                if j:
-                    found.append((i, j))
-            if plo < lo:
-                lo = plo
-            if phi > hi:
-                hi = phi
-
-    # tree-1 pre-order index of each shared cluster, from its inner count
-    ps = (np.flatnonzero(~leaf1) + 1)[[i for i, _ in found]]
-    js = np.array([j for _, j in found], dtype=np.int64)
+    # tree 2, once tree 1's arrays are let go
+    size = subtree_sizes(pair.t2.bits.to01())
+    if extended:
+        # the node whose pre-order index is least must have that many
+        # nodes; it is the match
+        ok = size[least - 1] == width + 1
+        js = least[ok]
+    else:
+        # tree 2's internal node spans the leaf ranks [L, R]; taken in
+        # pre-order the keys L * N + (N - 1 - R) strictly increase, since
+        # no node has a single child, so one search finds every match
+        inner2 = np.flatnonzero(size > 1)
+        before = np.zeros(leaf2.size + 1, np.int64)
+        np.add.accumulate(leaf2, dtype=np.int64, out=before[1:])
+        n_leaves = before[-1]
+        # N - 1 - R is N less the leaves before the node's subtree ends
+        keys = (before[inner2] * n_leaves + n_leaves
+                - before[inner2 + size[inner2]])
+        want = least.astype(np.int64) * n_leaves + (n_leaves - 1 - most)
+        at = np.searchsorted(keys, want)
+        ok = keys[np.minimum(at, keys.size - 1)] == want
+        js = inner2[at[ok]] + 1
+    del size
+    ps = inner[ok] + 1
+    probes = inner.size
     ops = OpCounts(cluster_size=probes) if extended else OpCounts(lca=probes)
     if weighted:
         lp = np.flatnonzero(leaf1)[leaf_image]
@@ -226,11 +226,16 @@ def _sweep(pair: TreePair, metric: str, impl: str,
             raw = _fraction_sum(chain(*terms))
         halved = None
     else:
-        shared = int(leaf_image.sum()) + len(found)
-        raw = pair.t1.n_nodes + t2.n_nodes - 2 * shared
+        shared = int(leaf_image.sum()) + ps.size
+        raw = pair.t1.n_nodes + pair.t2.n_nodes - 2 * shared
         halved = raw / 2
-    common = tuple(zip(ps.tolist(), js.tolist())) if capture else None
-    return DistanceResult(metric, impl, raw, halved, len(found), common, ops)
+    common = None
+    if capture:
+        # tree-1 closing order: by the end of each subtree, and the deeper
+        # of two nodes that end together first
+        order = np.lexsort((-ps, end[ok]))
+        common = tuple(zip(ps[order].tolist(), js[order].tolist()))
+    return DistanceResult(metric, impl, raw, halved, ps.size, common, ops)
 
 
 def compute(pair: TreePair, metric: str, impl: str = "postorder",

@@ -16,9 +16,12 @@ the tokens, a table of which token may follow which and a running depth
 check the grammar, and one stable sort of the brackets and commas by
 depth pairs every ')' with its '(' and finds single-child nodes.  It
 either accepts the text, with every check the error pass makes, or
-gives up; it never reports an error.  It gives up on text that is not
-ASCII, on any '[', ']' or "'", on any fault, and on a pair that does not
-fit its mode, weighting or label set.  The error pass, _scan, then reads
+gives up; it never reports an error.  It reads the text's UTF-8 bytes,
+a byte from 0x80 up being part of a label.  It gives up on a whitespace
+character that is not ASCII and on a weight literal that is not ASCII,
+since the error pass reads whitespace and digits as Unicode does; on
+any '[', ']' or "'"; on any fault; and on a pair that does not fit its
+mode, weighting or label set.  The error pass, _scan, then reads
 the text token by token and raises the exact error: its message, its
 character offset and which tree.  Error offsets are not stored per
 node; an error recovers its offset by scanning the text again, and an
@@ -61,9 +64,10 @@ _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z")
 # a label run is a _LAB token at its first character, unless a ':' comes
 # right before it, and a ':' is a _COLON token that owns the run after it.
 _LAB, _WS, _OPEN, _CLOSE, _COMMA, _SEMI, _COLON, _BAD = range(8)
-_CLASS = bytearray([_BAD]) * 256
+_CLASS = bytearray([_LAB]) * 256   # UTF-8 bytes >= 0x80 are label bytes
 for _c in range(128):
-    _CLASS[_c] = _WS if chr(_c).isspace() else _LAB
+    if chr(_c).isspace():
+        _CLASS[_c] = _WS
 for _c, _k in zip(b"(),;:[]'", (_OPEN, _CLOSE, _COMMA, _SEMI, _COLON,
                                 _BAD, _BAD, _BAD)):
     _CLASS[_c] = _k
@@ -75,6 +79,9 @@ _FOLLOW = {_OPEN: (_OPEN, _LAB), _COMMA: (_OPEN, _LAB),
            _CLOSE: (_LAB, _COLON, _COMMA, _CLOSE, _SEMI),
            _COLON: (_COMMA, _CLOSE, _SEMI)}
 _PAIRS = bytes(8 * a + b for a, follow in _FOLLOW.items() for b in follow)
+# \s and \d know Unicode: a whitespace character that is not ASCII is the
+# error pass's to read
+_WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
 
 
 class ParseError(ValueError):
@@ -253,9 +260,10 @@ def _fast_scan(text, mode=None, weighted=False):
     indices; weights is as _scan's.  mode "leaf" gives up on an internal
     label and "full" on an unlabelled node; weighted gives up on a text
     with no weight.  Repeated labels are the caller's to find."""
-    if not text.isascii():
+    if not text.isascii() and _WIDE_SPACE.search(text):
         return None
-    c = np.frombuffer(text.encode("ascii").translate(_CLASS), np.uint8)
+    c = np.frombuffer(text.encode("utf-8", "surrogatepass").translate(_CLASS),
+                      np.uint8)
     tok = c >= _OPEN
     tok[:1] |= c[:1] == _LAB
     tok[1:] |= (c[1:] == _LAB) & (c[:-1] != _LAB) & (c[:-1] != _COLON)
@@ -336,9 +344,11 @@ def _fast_scan(text, mode=None, weighted=False):
     w = None
     if w_at.size:
         literals = list(compress(labels, is_w.tolist()))
-        if not all(map(_NUMBER.match, literals)):
+        joined = ",".join(literals)
+        if not (joined.isascii() and all(map(_NUMBER.match, literals))):
             return None
-        vals = np.fromstring(",".join(literals), sep=",")
+        vals = np.fromstring(joined, sep=",")
+        del joined  # before the weight vector exists
         if not np.isfinite(vals).all():
             return None
         labels = list(compress(labels, (~is_w).tolist()))

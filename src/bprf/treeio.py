@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bp import BpTree
+from .bp import BpTree, subtree_sizes
 from .newick import _LABEL, LabelTable, TreePair
 
 MAGIC = b"SBPT"
@@ -73,19 +73,12 @@ def _check_writable(bits, names, w):
     """Raise PackError unless write_newick can write the tree back as the
     same tree.  bits is the 0/1 array, names a name or None per node in
     pre-order, w the weights or None."""
-    # pair every opening bit with its closing bit: the bits of the nodes
-    # at one depth alternate open, close in position order
-    depth = np.cumsum(bits.astype(np.int64) * 2 - 1) + (bits == 0)
-    order = np.argsort(depth, kind="stable")
-    close = np.empty(len(bits), np.intp)
-    close[order[0::2]] = order[1::2]
-    # a node has one child when its first child's close is followed by its
-    # own close
-    first = np.flatnonzero(bits[:-1] & bits[1:]) + 1
-    single = first[bits[close[first] + 1] == 0]
+    # a node has one child when its first child, the next node in
+    # pre-order, holds all of its subtree but itself
+    size = subtree_sizes(bits)
+    single = np.flatnonzero(size[:-1] == size[1:] + 1)
     if single.size:
-        raise PackError(f"node {np.count_nonzero(bits[:single[0]])} has a "
-                        "single child")
+        raise PackError(f"node {single[0] + 1} has a single child")
     seen = set()
     for i, name in enumerate(names, 1):
         if name is None:
@@ -96,8 +89,7 @@ def _check_writable(bits, names, w):
         if name in seen:
             raise PackError(f"label {name!r} repeated on node {i}")
         seen.add(name)
-    leaf = (bits[:-1] > bits[1:])[bits[:-1] == 1]
-    for i in np.flatnonzero(leaf).tolist():
+    for i in np.flatnonzero(size == 1).tolist():
         if names[i] is None:
             raise PackError(f"leaf {i + 1} has no label")
     if w is not None:

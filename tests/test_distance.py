@@ -258,6 +258,40 @@ def test_deep_caterpillar_all_drivers():
     assert r1.raw == naive_metric(a, b, "rf")
 
 
+def _comb(order, full=False):
+    """The left comb over the leaves L<i> for i in order, its internal
+    nodes I1 (deepest) up to the root when full."""
+    parts = ["(" * (len(order) - 1), f"L{order[0]}"]
+    parts += [f",L{i})" + (f"I{k}" if full else "")
+              for k, i in enumerate(order[1:], 1)]
+    return "".join(parts) + ";"
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_caterpillar_deeper_than_int16_keys(full):
+    """70,000 leaves, so bits 69,999 levels deep.  Int16 sort keys would
+    give levels 65,536 apart one key, and the pairing of opening with
+    closing bits would go wrong.  Against its mirror only the root is
+    shared; against the comb with L2 and L3 swapped, all but {L1, L2}."""
+    n = 70_000
+    mode, metric = ("full", "erf") if full else ("leaf", "rf")
+    a = _comb(range(1, n + 1), full)
+    mirror = _comb(range(n, 0, -1), full)
+    near = _comb([1, 3, 2, *range(4, n + 1)], full)
+    r = compute(parse_pair(a, mirror, mode=mode), metric, capture=True)
+    assert r.raw == 2 * (n - 2)
+    assert r.common == ((1, 1),)
+    # leaf mode: every {L1..Lk} has contiguous leaf ranks in the mirror;
+    # fully-labelled: only the root's ranks are contiguous
+    assert _probes(r) == (1 if full else n - 1)
+    if not full:
+        assert day_rf(a, mirror).raw == r.raw
+    r = compute(parse_pair(a, near, mode=mode), metric, capture=True)
+    assert r.raw == 2
+    assert r.common == tuple((i, i) for i in range(n - 2, 0, -1))
+    assert _probes(r) == r.equal_clusters == n - 2
+
+
 def _rng_pair(seed, n_leaves, arity, full=False, weights=False,
               crossed=False):
     rng = random.Random(seed)

@@ -362,8 +362,10 @@ def test_fast_path_matches_error_pass(seed, n_leaves, arity, full, weights,
 
 
 # characters that make and break tokens, odd whitespace and non-ASCII
-# among them, and fragments that make whole tokens
-_FUZZ = list("(),;:[]' \t\n\r\x0b\x0c\x1c\x1f\xa0\u2003AB1.5e-+_\x00") + [
+# among them (label characters and a digit too), and fragments that make
+# whole tokens
+_FUZZ = list("(),;:[]' \t\n\r\x0b\x0c\x1c\x1f\xa0\u2003AB1.5e-+_\x00"
+             "\xe9\u0661\u6728\U0001f332") + [
     "L1", "I1", "L2", ":0.5", ":-0", "1e999", ":nan", ")I2"]
 
 
@@ -414,15 +416,38 @@ def test_fast_path_matches_error_pass_on_mutants():
 def test_fast_path_taken(full, weights):
     # if the accepting pass gave up on ordinary input, every answer would
     # stay right and only the benchmark would show it
+    mode = "full" if full else "leaf"
     text = generate_tree_text(3000, 11, "random", full, weights)
-    assert newick._fast_scan(text) is not None
-    assert newick._fast_scan(text, "full" if full else "leaf",
-                             weights) is not None
     a, b = generate_pair_texts(3000, 12, "random", full, weights)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(newick, "_scan", None)  # any fallback fails the test
-        parse_pair(a, b, "full" if full else "leaf", weights)
-        parse_tree(text)
+    # labels of one, two, three and four UTF-8 bytes a character take the
+    # same pass, and come out as the error pass reads them
+    wide = [t.replace("L", "Lé").replace("I", "Iλ木🌲")
+            for t in (text, a, b)]
+    for t, u, v in ((text, a, b), wide):
+        assert newick._fast_scan(t) is not None
+        assert newick._fast_scan(t, mode, weights) is not None
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(newick, "_scan", None)  # any fallback fails the test
+            parse_pair(u, v, mode, weights)
+            parse_tree(t)
+    fast, slow = _both_passes(parse_pair, *wide[1:], mode=mode,
+                              weighted=weights)
+    assert fast == slow
+    fast, slow = _both_passes(parse_tree, wide[0])
+    assert fast == slow
+    assert "Lé1" in parse_tree(wide[0])[1]._names
+
+
+@pytest.mark.parametrize("text", [
+    "((A\xa0,B),C);",          # a space that is not ASCII
+    "((A,B)\u3000,C);",
+    "((A:1,B:\u0661),C);",     # an Arabic-Indic digit, which float reads
+    "((A:1,B:2\u00e9),C);",
+])
+def test_wide_space_and_digit_left_to_error_pass(text):
+    assert newick._fast_scan(text) is None
+    fast, slow = _both_passes(parse_tree, text)
+    assert fast == slow
 
 
 def test_fast_path_taken_on_deep_caterpillar():
