@@ -15,6 +15,7 @@ function of (leaves, seed, flags).
 import argparse
 import random
 import sys
+import time
 
 from .baseline import PlainNode, _preorder, day_rf_trees, parse_plain
 from .distance import METRICS, compute
@@ -146,8 +147,10 @@ def _format(result, raw=False):
 
 
 def cmd_dist(args):
+    t0 = time.perf_counter()
     text1 = _read(args.file1, 1)
     text2 = _read(args.file2, 2)
+    t1 = time.perf_counter()
     if args.algo == "day":
         if args.metric != "rf":
             raise ModeError("--algo day only computes --metric rf")
@@ -155,15 +158,22 @@ def cmd_dist(args):
             raise ModeError("--emit-common needs --algo postorder or "
                             "nextsibling")
         parse_pair(text1, text2)
+        t2 = time.perf_counter()
         result = day_rf_trees(parse_plain(text1), parse_plain(text2))
     else:
         pair = parse_pair(text1, text2, *METRICS[args.metric])
+        t2 = time.perf_counter()
         result = compute(pair, args.metric, args.algo,
                          capture=args.emit_common)
+    t3 = time.perf_counter()
     print(_format(result, raw=args.raw))
     if args.emit_common:
         for i, j in result.common:
             print(f"{i}\t{j}")
+    if args.stats:
+        print(f"stats: read_s={t1 - t0:.6f} parse_s={t2 - t1:.6f} "
+              f"distance_s={t3 - t2:.6f} candidates={result.ops.total()}",
+              file=sys.stderr)
     return 0
 
 
@@ -225,6 +235,9 @@ def build_parser():
     d.add_argument("--emit-common", action="store_true",
                    help="after the value, one 'i<TAB>j' line per matched "
                         "cluster")
+    d.add_argument("--stats", action="store_true",
+                   help="one line on stderr: read, parse and distance "
+                        "seconds and the candidate count")
     d.set_defaults(func=cmd_dist)
 
     g = sub.add_parser("gen", help="random newick tree on stdout")

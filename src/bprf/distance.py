@@ -34,12 +34,14 @@ results are the sum of |w1(c) - w2(c)| over all clusters c, a cluster
 missing from a tree weighing 0 there.  One math.fsum adds |w| for every
 weight of both trees and -min(|w1(c)|, |w2(c)|), twice, for every shared
 cluster whose two weights have the same sign; weights of opposite signs
-cost |w1(c)| + |w2(c)| as they stand.  Every term is exact and fsum
-rounds the exact sum once, which makes the identity exactly 0.0 and the
-result exactly symmetric and never negative.  When a partial sum leaves
-the float range, the same terms are summed as fractions and rounded
-once, to inf if the sum itself lies past the range.  Shared clusters
-are captured in tree 1's closing order.
+cost |w1(c)| + |w2(c)| as they stand.  The terms become Python floats
+one fixed-size chunk at a time, so the sum never holds n of them at
+once.  Every term is exact and fsum rounds the exact sum once, which
+makes the identity exactly 0.0 and the result exactly symmetric and
+never negative.  When a partial sum leaves the float range, the same
+terms are summed as fractions and rounded once, to inf if the sum
+itself lies past the range.  Shared clusters are captured in tree 1's
+closing order.
 
 "postorder" and "nextsibling", the names of two earlier tree-1 walks,
 both name this computation; a result echoes the name it was asked for.
@@ -63,6 +65,7 @@ from .newick import ModeError, TreePair
 METRICS = {"rf": ("leaf", False), "erf": ("full", False),
            "wrf": ("leaf", True), "werf": ("full", True)}
 IMPLS = ("postorder", "nextsibling")
+_CHUNK = 1 << 16  # floats made at once for the weighted sum
 
 
 @dataclass
@@ -113,6 +116,13 @@ def _fraction_sum(terms) -> float:
         return float(total)
     except OverflowError:
         return math.inf
+
+
+def _floats(a, f):
+    """f(a) as Python floats, made _CHUNK at a time: a sum over them never
+    holds more than one chunk's list."""
+    return chain.from_iterable(f(a[i:i + _CHUNK]).tolist()
+                               for i in range(0, a.size, _CHUNK))
 
 
 def _extremes(vals, lo, hi):
@@ -217,13 +227,16 @@ def _sweep(pair: TreePair, metric: str, impl: str,
         a = pair.w1[np.concatenate([lp, ps - 1])]
         b = pair.w2[np.concatenate([lj[leaf_image], js - 1])]
         same = (a < 0) == (b < 0)
-        shared = (-np.minimum(np.abs(a), np.abs(b)))[same].tolist()
-        terms = (np.abs(pair.w1).tolist(), np.abs(pair.w2).tolist(),
-                 shared, shared)
+        low = np.minimum(np.abs(a), np.abs(b))[same]
+
+        def terms():
+            return chain(_floats(pair.w1, np.abs), _floats(pair.w2, np.abs),
+                         _floats(low, np.negative),
+                         _floats(low, np.negative))
         try:
-            raw = math.fsum(chain(*terms))
+            raw = math.fsum(terms())
         except OverflowError:
-            raw = _fraction_sum(chain(*terms))
+            raw = _fraction_sum(terms())
         halved = None
     else:
         shared = int(leaf_image.sum()) + ps.size

@@ -4,11 +4,9 @@ A tree is read into its balanced-parentheses bits: every '(' is an
 opening bit, every leaf an open-close pair, every ')' a closing bit.
 Weights land in pre-order slots (slot i-1 for node i), and each label
 maps to its node's pre-order index, so nothing pointer shaped is ever
-built.  A parsed pair keeps no names: tree 1's label table dies inside
-parse_pair once tree 2's labels have been looked up in it to fill the
-code map, and it returns the two encodings, the code map and the
-weights.  parse_tree keeps the names as a LabelTable for write_newick
-and pack.
+built.  A parsed pair keeps no names: it holds the two encodings, the
+code map and the weights.  parse_tree keeps the names as a LabelTable
+for write_newick and pack.
 
 Each text is read by one of two passes.  The accepting pass,
 _fast_scan, works on the text's bytes with numpy: a class table finds
@@ -27,6 +25,16 @@ character offset and which tree.  Error offsets are not stored per
 node; an error recovers its offset by scanning the text again, and an
 error that concerns several labels or nodes names the first in
 pre-order.
+
+The accepting pass joins a pair's labels without a Python string per
+label.  Each label is a span of its text's UTF-8 bytes, and gets one
+64-bit hash of them.  Each tree's hashes are sorted; tree 1's must
+differ pairwise and tree 2's must equal them, so that position k of
+both sorts pairs a label with its namesake.  Every pair is then checked
+for equal length and equal bytes.  A repeated label, a different label
+set and a hash collision all fail one of these checks, and any failure
+gives the pair to the error pass: a collision costs time, never a wrong
+join.
 
 Label syntax: a maximal run of characters excluding '(' ')' ',' ':' ';'
 '[' ']' "'" and whitespace (every character that str.isspace accepts).
@@ -47,7 +55,6 @@ mode.
 
 import re
 from array import array
-from itertools import compress
 from math import isfinite
 
 import numpy as np
@@ -58,7 +65,11 @@ _LABEL_CHAR = r"[^(),;:\s\[\]']"
 _TOKEN = re.compile(rf"\s+|([(),;])|:({_LABEL_CHAR}*)"
                     rf"|({_LABEL_CHAR}+)|([\[\]'])")
 _LABEL = re.compile(f"{_LABEL_CHAR}+")
-_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?\Z")
+_NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = re.compile(rf"{_NUM}\Z")
+# literals joined by ',', as bytes, where \d is ASCII only; possessive,
+# the repeat keeps no backtracking state per literal
+_NUMBERS = re.compile(rf"{_NUM}(?:,{_NUM})*+\Z".encode())
 
 # The accepting pass's character classes, which are also its token kinds:
 # a label run is a _LAB token at its first character, unless a ':' comes
@@ -254,21 +265,37 @@ def _scan(text, tree_index):
 
 
 def _fast_scan(text, mode=None, weighted=False):
-    """The accepting pass over one tree: (bits, labels, at, weights), or
-    None when _scan must read the text.  bits is a uint8 array, labels
-    the labels in text order and at, int32, their nodes' pre-order
-    indices; weights is as _scan's.  mode "leaf" gives up on an internal
-    label and "full" on an unlabelled node; weighted gives up on a text
-    with no weight.  Repeated labels are the caller's to find."""
+    """The accepting pass over one tree: (bits, data, start, length, at,
+    weights), or None when _scan must read the text.  bits is a uint8
+    array and data the text's UTF-8 bytes, as uint8.  Label k, in text
+    order, is the bytes data[start[k]:start[k] + length[k]], and at[k]
+    is its node's pre-order index; all three are int32.  weights is as
+    _scan's.  mode "leaf" gives up on an internal label and "full" on an
+    unlabelled node; weighted gives up on a text with no weight.
+    Repeated labels are the caller's to find."""
     if not text.isascii() and _WIDE_SPACE.search(text):
         return None
-    c = np.frombuffer(text.encode("utf-8", "surrogatepass").translate(_CLASS),
-                      np.uint8)
-    tok = c >= _OPEN
-    tok[:1] |= c[:1] == _LAB
-    tok[1:] |= (c[1:] == _LAB) & (c[:-1] != _LAB) & (c[:-1] != _COLON)
-    kinds = c[tok]
-    del c, tok
+    raw = text.encode("utf-8", "surrogatepass")
+    data = np.frombuffer(raw, np.uint8)
+    c = np.frombuffer(raw.translate(_CLASS), np.uint8)
+    del raw
+    # runs of label bytes: a run right after a ':' is a weight literal,
+    # any other a label token
+    lab = c == _LAB
+    first = lab.copy()
+    first[1:] &= ~lab[:-1]
+    run = first.nonzero()[0].astype(np.int32)
+    lab[:-1] &= ~lab[1:]  # now the last byte of each run
+    run_len = lab.nonzero()[0].astype(np.int32)
+    run_len -= run
+    run_len += 1
+    # run 0 reads the text's last byte: no ':' in a text that ends at ';'
+    is_w = c.take(run - 1) == _COLON
+    tok = first
+    tok[1:] &= c[:-1] != _COLON
+    tok |= c >= _OPEN
+    kinds = c.compress(tok)
+    del c, lab, first, tok
     # deleting the allowed codes of adjacent kinds leaves any other
     pairs = (kinds[:-1] * 8 + kinds[1:]).tobytes()
     if (not kinds.size or kinds[0] not in (_OPEN, _LAB)
@@ -278,13 +305,14 @@ def _fast_scan(text, mode=None, weighted=False):
     # brackets and commas: ',' needs an open '(', ')' one to close and ';'
     # none; a ')' whose level has no ',' closes a single child
     sel = (kinds >= _OPEN) & (kinds <= _COMMA)
-    bk = kinds[sel]
+    bk = kinds.compress(sel)
     step = (bk == _OPEN).view(np.int8) - (bk == _CLOSE).view(np.int8)
     # np.add.accumulate, not np.cumsum: the latter's Python wrapper leaves
     # interpreter free-list blocks that tracemalloc counts as held
     depth = np.add.accumulate(step, dtype=np.int32)
     if bk.size and (depth[-1] or np.minimum.reduce(depth) < 0
-                    or np.minimum.reduce(depth[bk == _COMMA], initial=1) < 1):
+                    or np.minimum.reduce(depth.compress(bk == _COMMA),
+                                         initial=1) < 1):
         return None
     # sorted stably by the level they belong to, each node's '(', its
     # commas and its ')' are adjacent
@@ -297,7 +325,7 @@ def _fast_scan(text, mode=None, weighted=False):
     sk = bk[order]
     if ((sk[:-1] == _OPEN) & (sk[1:] == _CLOSE)).any():
         return None
-    oc = order[sk != _COMMA]
+    oc = order.compress(sk != _COMMA)
     del order, sk
 
     # pre-order index of each token's node: a '(' or a leaf opens the next
@@ -311,7 +339,7 @@ def _fast_scan(text, mode=None, weighted=False):
     node = (kinds == _OPEN) | (is_lab ^ internal)
     cur = np.add.accumulate(node, dtype=np.int32)
     n = int(cur[-1])
-    cb = cur[sel]
+    cb = cur.compress(sel)
     cb[oc[1::2]] = cb[oc[0::2]]
     cur[sel] = cb
     del sel, cb, oc
@@ -321,12 +349,11 @@ def _fast_scan(text, mode=None, weighted=False):
     n_lab = int(np.count_nonzero(is_lab))
     if mode == "full" and n_lab != n:
         return None
-    at, w_at = cur[is_lab], cur[colon]
-    is_w = kinds[is_lab | colon] == _COLON  # which runs are weight literals
+    at, w_at = cur.compress(is_lab), cur.compress(colon)
 
     # every node writes its opening bit, then its closing bit; a '(' writes
     # only the first and a ')' only the second, 2 marks the bit not written
-    s = kinds[node | (kinds == _CLOSE)]
+    s = kinds.compress(node | (kinds == _CLOSE))
     del kinds, is_lab, internal, node, cur, colon  # before the labels exist
     emit = np.empty((s.size, 2), np.uint8)
     emit[:, 0] = s == _CLOSE
@@ -334,28 +361,81 @@ def _fast_scan(text, mode=None, weighted=False):
     emit[:, 1] = s == _OPEN
     emit[:, 1] *= 2
     emit = emit.ravel()
-    bits = emit[emit < 2]
+    bits = emit.compress(emit < 2)
     del s, emit
 
-    # one run per label and per weight literal, in text order
-    labels = _LABEL.findall(text)
-    if len(labels) != n_lab + w_at.size or weighted and not w_at.size:
+    # every ':' owns the literal right after it
+    if np.count_nonzero(is_w) != w_at.size or weighted and not w_at.size:
         return None
     w = None
     if w_at.size:
-        literals = list(compress(labels, is_w.tolist()))
-        joined = ",".join(literals)
-        if not (joined.isascii() and all(map(_NUMBER.match, literals))):
+        # the literals, each with the byte that ends it made a ','
+        at_byte, lead = _spans(run[is_w], run_len[is_w] + 1)
+        joined = data.take(at_byte)
+        del at_byte
+        joined[lead[1:] - 1] = ord(",")
+        joined = joined[:-1].tobytes()
+        if not _NUMBERS.match(joined):
             return None
         vals = np.fromstring(joined, sep=",")
         del joined  # before the weight vector exists
         if not np.isfinite(vals).all():
             return None
-        labels = list(compress(labels, (~is_w).tolist()))
         w = np.zeros(n)
         w[w_at - 1] = vals
         w[0] = 0.0  # the root's weight is discarded
-    return bits, labels, at, w
+    is_w ^= True
+    return bits, data, run[is_w], run_len[is_w], at, w
+
+
+def _spans(start, length):
+    """(at_byte, lead): the index of every byte of the spans
+    data[start[k]:start[k] + length[k]], laid end to end, and the first
+    slot of each span there.  Both are int32; every length is at least
+    1."""
+    lead = np.zeros(length.size, np.int32)
+    np.add.accumulate(length[:-1], out=lead[1:])
+    at_byte = (start - lead).repeat(length)
+    at_byte += np.arange(at_byte.size, dtype=np.int32)
+    return at_byte, lead
+
+
+def _multipliers(size):
+    """size odd, well mixed 64-bit multipliers: splitmix64 of 1..size."""
+    z = np.arange(1, size + 1, dtype=np.uint64)
+    z *= 0x9E3779B97F4A7C15
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    z |= 1
+    return z
+
+
+def _label_hashes(lb, pos, lead, length):
+    """One uint64 hash per label: the sum over its bytes of (byte + 1)
+    times the multiplier of the byte's offset in the label, wrapping.
+    lb holds the labels' bytes end to end, pos each byte's offset in its
+    label and lead each label's first slot."""
+    mult = _multipliers(int(length.max()))
+    x = mult.take(pos)
+    x *= lb
+    h = np.add.reduceat(x, lead)
+    del x
+    # the (+ 1) of every byte adds the multipliers of a label's offsets
+    np.add.accumulate(mult, out=mult)
+    h += mult.take(length - 1)
+    return h
+
+
+def _labels(data, start, length):
+    """(lb, pos, hashes): the labels' bytes end to end, each byte's offset
+    in its label, and every label's hash."""
+    pos, lead = _spans(start, length)
+    lb = data.take(pos)
+    pos -= start.repeat(length)
+    return lb, pos, _label_hashes(lb, pos, lead, length)
 
 
 def _node_offset(text, k):
@@ -399,30 +479,44 @@ def parse_pair(text1: str, text2: str, mode: str = "leaf",
 
 def _fast_pair(text1, text2, mode, weighted):
     """(bits1, bits2, code, w1, w2) by the accepting pass, or None; the
-    weights are None unless weighted.  Tree 1's scan is let go before
-    tree 2's starts, and tree 2's labels are looked up in tree 1's table
-    without a table of their own."""
+    weights are None unless weighted.  Each tree's label hashes are
+    sorted; tree 1's must differ pairwise and tree 2's equal them, which
+    pairs every label with its namesake, and the pairs are then checked
+    byte for byte.  While tree 2 is read, tree 1 holds only its pair
+    arrays, its bytes and spans and its sorted hashes."""
     scan = _fast_scan(text1, mode, weighted)
     if scan is None:
         return None
-    bits1, labels, at, w1 = scan
-    table = dict(zip(labels, at.tolist()))
-    if len(table) < len(labels):
+    bits1, data1, start1, len1, at1, w1 = scan
+    del scan
+    h1 = _labels(data1, start1, len1)[2]
+    o1 = h1.argsort().astype(np.int32)
+    h1 = h1[o1]
+    if (h1[1:] == h1[:-1]).any():  # a repeated label, or a collision
         return None
-    del scan, labels, at
     scan = _fast_scan(text2, mode, weighted)
-    if scan is None or len(scan[1]) != len(table):
+    if scan is None or scan[2].size != h1.size:
         return None
-    bits2, labels, at, w2 = scan
-    try:
-        into = np.fromiter(map(table.__getitem__, labels), np.int32,
-                           len(labels))
-    except KeyError:
+    bits2, data2, start2, len2, at2, w2 = scan
+    del scan
+    lb2, pos2, h2 = _labels(data2, start2, len2)
+    o2 = h2.argsort().astype(np.int32)
+    if not (h2[o2] == h1).all():
+        return None
+    del h1, h2
+    # the tree-1 label with each tree-2 label's hash, which must be the
+    # same bytes
+    into = np.empty_like(o2)
+    into[o2] = o1
+    del o1, o2
+    if not (len1[into] == len2).all():
+        return None
+    at_byte = start1[into].repeat(len2)
+    at_byte += pos2
+    if not (data1.take(at_byte) == lb2).all():
         return None
     code = np.zeros(len(bits1) // 2, np.int32)
-    code[into - 1] = at
-    if np.count_nonzero(code) < len(labels):  # a tree-2 label repeated
-        return None
+    code[at1[into] - 1] = at2
     if not weighted:
         w1 = w2 = None
     return bits1, bits2, code, w1, w2
@@ -474,10 +568,13 @@ def parse_tree(text: str):
     are kept when present, and weights whenever the text has one.
     """
     scan = _fast_scan(text)
-    if scan is not None and len(set(scan[1])) == len(scan[1]):
-        bits, labels, at, w = scan
+    if scan is not None:
+        bits, data, start, length, at, w = scan
+        raw = data.tobytes()
+        labels = [raw[a:b].decode("utf-8", "surrogatepass") for a, b in
+                  zip(start.tolist(), (start + length).tolist())]
         at = at.tolist()
-    else:
+    if scan is None or len(set(labels)) < len(labels):
         bits, table, w, _ = _scan(text, 1)
         bits = np.frombuffer(bits, np.uint8)
         labels, at = table.keys(), table.values()

@@ -13,6 +13,7 @@ import pytest
 import bprf
 from bprf.baseline import parse_plain
 from bprf.cli import build_parser, generate_pair_texts, generate_tree_text
+from bprf.distance import compute
 from bprf.newick import parse_pair, parse_tree
 from bprf.treeio import size_report
 
@@ -167,6 +168,37 @@ def test_dist_mode_flag(nwk):
     assert r.returncode == 3
     assert "tree 1, offset 7" in r.stderr, r.stderr
     assert run_cli("dist", a, b, "--mode", "full").returncode == 2
+
+
+def test_dist_stats(nwk):
+    # --stats adds one stderr line and changes neither stdout nor the
+    # exit code, on success or on error
+    a, b = nwk("a", T4), nwk("b", T5)
+    f2, f3 = nwk("f2", T2), nwk("f3", T3)
+    line = re.compile(r"stats: read_s=\d+\.\d{6} parse_s=\d+\.\d{6} "
+                      r"distance_s=\d+\.\d{6} candidates=(\d+)\n\Z")
+    for argv, candidates in (
+            ((a, b), compute(parse_pair(T4, T5), "rf").ops.total()),
+            ((a, b, "--emit-common", "--raw"), None),
+            ((f2, f3, "--metric", "erf"),
+             compute(parse_pair(T2, T3, "full"), "erf").ops.total()),
+            ((a, b, "--algo", "day"), 0)):
+        plain = run_cli("dist", *argv)
+        stats = run_cli("dist", *argv, "--stats")
+        assert (stats.returncode, stats.stdout) == (0, plain.stdout)
+        assert plain.stderr == ""
+        m = line.match(stats.stderr)
+        assert m, stats.stderr
+        if candidates is not None:
+            assert int(m.group(1)) == candidates
+    for argv, code in (((a, nwk("bad", "((A,B);")), 2),
+                       ((a, nwk("c", "(A,B);")), 4),
+                       ((a, a, "--metric", "erf"), 3)):
+        plain = run_cli("dist", *argv)
+        stats = run_cli("dist", *argv, "--stats")
+        assert plain.returncode == code
+        assert (stats.returncode, stats.stdout, stats.stderr) == \
+            (plain.returncode, plain.stdout, plain.stderr)
 
 
 # ----------------------------------------------------------------------

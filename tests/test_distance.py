@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bprf.baseline import day_rf, naive_clusters, naive_metric, parse_plain
+from bprf import distance
+from bprf.cli import generate_pair_texts
 from bprf.distance import compute, erf, rf_nextsibling, rf_postorder, werf, wrf
 from bprf.newick import ModeError, parse_pair
 
@@ -179,6 +181,24 @@ def test_weights_near_float_max():
     # the result itself past the float range: {A,B} and {C,D} unmatched
     c = "((A:1,C:1):1e308,(B:1,D:1):1e308);"
     assert wrf(parse_pair(a, c, weighted=True)).raw == float("inf")
+
+
+def test_weighted_sum_same_in_small_chunks(monkeypatch):
+    # the weighted sum makes its floats a chunk at a time; chunks of two
+    # give the same bits, on the fraction path too
+    texts = [("((A:1,B:1):1e308,(C:1,D:1):1e308);",
+              "((A:1,C:1):1e308,(B:1,D:1):1.5e308);", "leaf")]
+    for full in (False, True):
+        a, b = generate_pair_texts(40, 9, "random", full, True)
+        texts += [(a, b, "full" if full else "leaf"),
+                  (a, a, "full" if full else "leaf")]
+    pairs = [parse_pair(a, b, mode, True) for a, b, mode in texts]
+    metrics = ["werf" if p.mode == "full" else "wrf" for p in pairs]
+    want = [compute(p, m).raw for p, m in zip(pairs, metrics)]
+    monkeypatch.setattr(distance, "_CHUNK", 2)
+    got = [compute(p, m).raw for p, m in zip(pairs, metrics)]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert want[0] == float("inf") and want[2] == want[4] == 0.0
 
 
 def _signed_tree(rng, n_leaves, full, internal=None):

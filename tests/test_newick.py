@@ -21,7 +21,13 @@ from bprf.newick import (
 
 from bprf.cli import generate_pair_texts, generate_tree_text
 
-from conftest import assign_labels, encode_bits, random_topology, to_newick
+from conftest import (
+    assign_labels,
+    encode_bits,
+    preorder,
+    random_topology,
+    to_newick,
+)
 
 T4 = "(((A,B),C),(D,E,F));"
 T5 = "((D,E,F),(B,(A,C)));"
@@ -459,10 +465,16 @@ def test_fast_path_taken_on_deep_caterpillar():
             + "".join(f",L{i})I{i}:{i}" for i in range(1, n)) + ";")
     scan = newick._fast_scan(text, "full", True)
     assert scan is not None
+    fbits, data, start, length, at, fw = scan
     bits, table, w, _ = newick._scan(text, 1)
-    assert scan[0].tobytes() == bytes(bits)
-    assert dict(zip(scan[1], scan[2].tolist())) == table
-    assert scan[3].tolist() == w.tolist()
+    assert fbits.tobytes() == bytes(bits)
+    # the label spans, decoded, are the labels _scan read, node for node
+    raw = data.tobytes()
+    names = [raw[a:a + k].decode() for a, k in
+             zip(start.tolist(), length.tolist())]
+    assert len(names) == len(table)
+    assert dict(zip(names, at.tolist())) == table
+    assert fw.tolist() == w.tolist()
 
 
 @pytest.mark.parametrize("a,b,mode", [
@@ -475,3 +487,99 @@ def test_repeated_label_left_to_error_pass(a, b, mode):
     fast, slow = _both_passes(parse_pair, a, b, mode=mode)
     assert fast == slow
     assert fast[0] is ParseError and "duplicate label" in fast[1]
+
+
+# ----------------------------------------------------------------------
+# the label join: sorted hashes, then a byte-for-byte check
+
+
+def _length_hash(lb, pos, lead, length):
+    """A label hash under which every two labels of one length collide."""
+    return length.astype(np.uint64)
+
+
+_JOIN_PAIRS = [
+    (T4, T5, "leaf"),
+    (T2, T3, "full"),
+    ("(A,(BB,CCC));", "((CCC,A),BB);", "leaf"),     # lengths all differ
+    ("(A,(BB,CCC));", "(X,(BB,CCC));", "leaf"),     # same lengths, not labels
+    ("(A,(B,C));", "(A\x00,(B,C));", "leaf"),       # a trailing NUL
+    ("(A,A\x00,B);", "(B,(A\x00,A));", "leaf"),
+    ("(AB,(BA,C));", "(BA,(AB,C));", "leaf"),       # byte order
+    ("(AB,C,D);", "(BA,C,D);", "leaf"),
+    ("(Lé,(Lè,C));", "(Lè,(Lé,C));", "leaf"),       # non-ASCII, same length
+    ("(Lé,(L,C));", "(Lè,(L,C));", "leaf"),
+    ("((A,B)é,C)R;", "((A,B)è,C)R;", "full"),
+    ("(A,B,C);", "(A,A,B);", "leaf"),               # repeated in tree 2
+    ("(A,B,B);", "(A,B,C);", "leaf"),               # repeated in tree 1
+]
+
+
+@pytest.mark.parametrize("a,b,mode", _JOIN_PAIRS)
+def test_join_edge_cases(a, b, mode):
+    fast, slow = _both_passes(parse_pair, a, b, mode=mode)
+    assert fast == slow
+    if fast[0] is LabelMismatchError:
+        assert set(newick._LABEL.findall(a)) != set(newick._LABEL.findall(b))
+
+
+@pytest.mark.parametrize("a,b,mode", _JOIN_PAIRS)
+def test_hash_collision_sent_to_error_pass(a, b, mode, monkeypatch):
+    # with every two labels of a length colliding, the answer is the
+    # same: a collision costs time, never a wrong join
+    want = _outcome(parse_pair, a, b, mode=mode)
+    calls = []
+    checked = newick._checked_pair
+    monkeypatch.setattr(newick, "_label_hashes", _length_hash)
+    monkeypatch.setattr(newick, "_checked_pair",
+                        lambda *args: calls.append(1) or checked(*args))
+    assert _outcome(parse_pair, a, b, mode=mode) == want
+    lengths = [len(s.encode()) for s in newick._LABEL.findall(a)]
+    if len(set(lengths)) < len(lengths):
+        assert calls  # the collision gave the pair to the error pass
+
+
+def test_hash_collision_on_generated_pairs(monkeypatch):
+    for full, weights in ((False, False), (True, True)):
+        mode = "full" if full else "leaf"
+        a, b = generate_pair_texts(300, 5, "random", full, weights)
+        want = _outcome(parse_pair, a, b, mode=mode, weighted=weights)
+        assert not isinstance(want[0], type)
+        monkeypatch.setattr(newick, "_label_hashes", _length_hash)
+        assert newick._fast_pair(a, b, mode, weights) is None
+        assert _outcome(parse_pair, a, b, mode=mode,
+                        weighted=weights) == want
+        monkeypatch.undo()
+
+
+def test_long_labels_join():
+    # labels past 8 bytes, and two past 10,000 that differ only in their
+    # last byte, take the accepting pass and join as _scan does
+    long = "L" * 10_000
+    names = [f"label{i:05d}" for i in range(40)] + [long + "a", long + "b"]
+    rng = random.Random(7)
+    a, b = (_named_tree(rng, names) for _ in range(2))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newick, "_scan", None)  # the accepting pass only
+        pair = parse_pair(a, b)
+    assert np.count_nonzero(pair.code_map) == len(names)
+    fast, slow = _both_passes(parse_pair, a, b)
+    assert fast == slow
+    # the two long labels swapped in tree 2, and one of them changed in
+    # its last byte
+    swapped = b.replace(long + "a", "X").replace(long + "b", long + "a")
+    swapped = swapped.replace("X", long + "b")
+    for other in (swapped, b.replace(long + "b", long + "c")):
+        fast, slow = _both_passes(parse_pair, a, other)
+        assert fast == slow
+    assert fast[0] is LabelMismatchError
+    assert _outcome(parse_pair, a, swapped) != _outcome(parse_pair, a, b)
+
+
+def _named_tree(rng, names):
+    """A random multifurcating tree with the given leaf names, shuffled."""
+    root = random_topology(rng, len(names), "mixed")
+    leaves = [v for v in preorder(root) if not v.children]
+    for v, name in zip(leaves, rng.sample(names, len(names))):
+        v.label = name
+    return to_newick(root)
