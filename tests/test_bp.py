@@ -149,9 +149,9 @@ def test_lca_matches_pointer_oracle(seed, n_leaves):
 @given(st.integers(0, 10_000))
 @settings(max_examples=8, deadline=None)
 def test_lca_and_find_close_across_blocks(seed):
-    """Trees spanning many directory blocks: lca of random pairs and of
-    ancestor pairs, whose searches cross blocks near the root and stay
-    within one block deep down, and find_close at every node."""
+    """Trees of 6,000 nodes: lca of random pairs and of ancestor pairs,
+    whose answers lie near the root or deep down, and find_close at every
+    node."""
     rng = random.Random(seed)
     root = random_topology(rng, 3000, "binary")
     bits, positions = encode_bits(root)

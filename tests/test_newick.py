@@ -240,8 +240,11 @@ def test_write_newick_fixed():
 
 def test_pair_retains_few_bits_per_node():
     # the pair keeps two encodings, the code map and the weights; the
-    # label strings and the join table die inside parse_pair
-    for full, bound in ((False, 128), (True, 256)):
+    # label strings and the join table die inside parse_pair.  That is
+    # about 36 bits/node, and 164 with two float64 weight vectors; the
+    # margin is under the 18 or more that a rank directory held as
+    # Python ints would add
+    for full, bound in ((False, 48), (True, 176)):
         a, b = generate_pair_texts(10_000, 3, full=full, weights=full)
         tracemalloc.start()
         try:

@@ -232,8 +232,7 @@ def test_size_report_frozen():
     assert rep.bp_bits == 20
     assert rep.map_bits == 320
     assert rep.comparison_bits_day == 1856
-    assert rep.support_bits == pair.t1.support_bits()
-    assert rep.total_bits == rep.bp_bits + rep.support_bits + rep.map_bits
+    assert rep.total_bits == 34 * pair.n == 340
     assert str(rep).splitlines()[0] == "bp_bits 20"
 
 
@@ -245,19 +244,16 @@ def _spine_pair(n_nodes):
                     None, None, "leaf")
 
 
-def test_support_overhead_declines():
-    small = size_report(_spine_pair(10**3))
-    big = size_report(_spine_pair(10**6))
-    assert small.support_bits / 10**3 > big.support_bits / 10**6
-    assert big.total_bits / 10**6 <= 40
-    # a random 100k-leaf pair, as the benchmark parses: 2 bits of
-    # parentheses and 32 of map per node leave under 1.7 for the one rank
-    # directory and the block-minimum tree
+def test_size_report_is_34n_on_large_pairs():
+    # 2 bits of parentheses and 32 of map per node, and nothing besides
+    for n in (10**3, 10**6):
+        assert size_report(_spine_pair(n)).total_bits == 34 * n
+    # a random 100k-leaf pair, as the benchmark parses
     pair = parse_pair(*generate_pair_texts(100_000, 1))
-    assert size_report(pair).total_bits / pair.t1.n_nodes <= 35.7
+    assert size_report(pair).total_bits == 34 * pair.n
 
 
-def test_size_report_is_34n_plus_support():
+def test_size_report_is_34n():
     for n_leaves in (2, 7, 33):
         rng = random.Random(n_leaves)
         root = random_topology(rng, n_leaves, "mixed")
@@ -266,3 +262,4 @@ def test_size_report_is_34n_plus_support():
         pair = parse_pair(text, text)
         rep = size_report(pair)
         assert rep.bp_bits + rep.map_bits == 34 * pair.n
+        assert rep.total_bits == 34 * pair.n
