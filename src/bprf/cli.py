@@ -157,7 +157,7 @@ def cmd_dist(args):
         if args.emit_common:
             raise ModeError("--emit-common needs --algo postorder or "
                             "nextsibling")
-        parse_pair(text1, text2)
+        pair = parse_pair(text1, text2)
         t2 = time.perf_counter()
         result = day_rf_trees(parse_plain(text1), parse_plain(text2))
     else:
@@ -172,8 +172,8 @@ def cmd_dist(args):
             print(f"{i}\t{j}")
     if args.stats:
         print(f"stats: read_s={t1 - t0:.6f} parse_s={t2 - t1:.6f} "
-              f"distance_s={t3 - t2:.6f} candidates={result.ops.total()}",
-              file=sys.stderr)
+              f"distance_s={t3 - t2:.6f} candidates={result.ops.total()} "
+              f"held_bytes={pair.nbytes}", file=sys.stderr)
     return 0
 
 
@@ -237,7 +237,7 @@ def build_parser():
                         "cluster")
     d.add_argument("--stats", action="store_true",
                    help="one line on stderr: read, parse and distance "
-                        "seconds and the candidate count")
+                        "seconds, candidates and the pair's bytes held")
     d.set_defaults(func=cmd_dist)
 
     g = sub.add_parser("gen", help="random newick tree on stdout")

@@ -4,8 +4,9 @@ the two trees' bits.
 Whether a cluster is shared is decided by the interval test of Day's
 algorithm (W. H. E. Day, J. Classification 2, 1985).  Every element of a
 cluster gets a rank in tree 2: in leaf mode a leaf's rank among tree 2's
-leaves, in fully-labelled mode a node's tree-2 pre-order index.  A
-cluster of tree 2 is then a contiguous range of ranks.
+leaves, in fully-labelled mode a node's tree-2 pre-order index.  The
+pair holds them (TreePair.ranks), per tree-1 leaf in leaf order or per
+node.  A cluster of tree 2 is then a contiguous range of ranks.
 
 Nothing is walked node by node.  One stable sort pairs each tree's
 opening bits with their closing bits (bp.subtree_sizes), which gives
@@ -19,13 +20,13 @@ these candidates are put to tree 2, all in one batch, once tree 1's
 arrays are let go.  In fully-labelled mode the tree-2 node whose
 pre-order index is the least rank must have the candidate's size; it is
 the match.  In leaf mode each internal node of tree 2 spans the leaf
-ranks [L, R], and in pre-order the keys L * N + (N - 1 - R) strictly
-increase, since no node has a single child; one searchsorted finds every
+ranks [L, R], and in pre-order the keys L * N - R strictly increase,
+since no node has a single child; one searchsorted finds every
 candidate's key, and with it the match.  This is Day's cluster table,
 built for one call from the bits and dropped after it.
 
 Every node is a cluster, and a leaf's is its singleton.  Leaf
-singletons are shared by the label map itself in leaf mode; in
+singletons are shared by the ranks themselves in leaf mode; in
 fully-labelled mode a leaf's image must be a leaf too.  Unweighted
 results count the clusters of either tree that the other lacks; in leaf
 mode the singletons cancel, so only internal clusters count there.  The
@@ -161,7 +162,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
         raise ValueError(f"unknown implementation {impl!r}")
     mode, weighted = METRICS[metric]
     extended = mode == "full"
-    code = pair.code_map
+    ranks = pair.ranks
 
     # leaf1 and leaf2 mark the leaves by pre-order index; a leaf is an
     # opening bit that a closing bit follows, or a node of size 1
@@ -170,10 +171,6 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     del bits2
     size = subtree_sizes(pair.t1.bits.to01())
     leaf1 = size == 1
-    # the tree-2 pre-order index (0-based) of each tree-1 leaf's image, and
-    # which images are leaves too: always so in leaf mode
-    lj = code[leaf1] - 1
-    leaf_image = leaf2[lj]
 
     # tree 1's internal node i spans the pre-order slots [i, end); its
     # ranks are its nodes' tree-2 pre-order indices in fully-labelled
@@ -182,9 +179,12 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     end = inner + size[inner]
     del size
     if extended:
-        ranks, lo, hi = code, inner, end - 1
+        # the tree-2 pre-order index (0-based) of each tree-1 leaf's
+        # image, and which images are leaves too
+        lj = ranks[leaf1] - 1
+        leaf_image = leaf2[lj]
+        lo, hi = inner, end - 1
     else:
-        ranks = (np.add.accumulate(leaf2, dtype=np.int32) - 1)[lj]
         before = np.zeros(leaf1.size + 1, np.int32)  # leaves before a slot
         np.add.accumulate(leaf1, dtype=np.int32, out=before[1:])
         lo, hi = before[inner], before[end] - 1
@@ -194,7 +194,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     cand = np.flatnonzero(most - least == hi - lo)
     inner, end, width = inner[cand], end[cand], (hi - lo)[cand]
     least, most = least[cand], most[cand]
-    del ranks, lo, hi, cand
+    del lo, hi, cand
 
     # tree 2, once tree 1's arrays are let go
     size = subtree_sizes(pair.t2.bits.to01())
@@ -204,17 +204,17 @@ def _sweep(pair: TreePair, metric: str, impl: str,
         ok = size[least - 1] == width + 1
         js = least[ok]
     else:
-        # tree 2's internal node spans the leaf ranks [L, R]; taken in
-        # pre-order the keys L * N + (N - 1 - R) strictly increase, since
-        # no node has a single child, so one search finds every match
+        # tree 2's internal node spans the leaf ranks [L, R], 1-based;
+        # taken in pre-order the keys L * N - R strictly increase, since no
+        # node has a single child, so one search finds every match
         inner2 = np.flatnonzero(size > 1)
         before = np.zeros(leaf2.size + 1, np.int64)
         np.add.accumulate(leaf2, dtype=np.int64, out=before[1:])
         n_leaves = before[-1]
-        # N - 1 - R is N less the leaves before the node's subtree ends
+        # L is one past the leaves before the node, R those before its end
         keys = (before[inner2] * n_leaves + n_leaves
                 - before[inner2 + size[inner2]])
-        want = least.astype(np.int64) * n_leaves + (n_leaves - 1 - most)
+        want = least.astype(np.int64) * n_leaves - most
         at = np.searchsorted(keys, want)
         ok = keys[np.minimum(at, keys.size - 1)] == want
         js = inner2[at[ok]] + 1
@@ -223,6 +223,8 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     probes = inner.size
     ops = OpCounts(cluster_size=probes) if extended else OpCounts(lca=probes)
     if weighted:
+        if not extended:  # every leaf's image is the leaf of its rank
+            lj, leaf_image = np.flatnonzero(leaf2)[ranks - 1], slice(None)
         lp = np.flatnonzero(leaf1)[leaf_image]
         a = pair.w1[np.concatenate([lp, ps - 1])]
         b = pair.w2[np.concatenate([lj[leaf_image], js - 1])]
@@ -239,7 +241,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
             raw = _fraction_sum(terms())
         halved = None
     else:
-        shared = int(leaf_image.sum()) + ps.size
+        shared = (int(leaf_image.sum()) if extended else ranks.size) + ps.size
         raw = pair.t1.n_nodes + pair.t2.n_nodes - 2 * shared
         halved = raw / 2
     common = None

@@ -5,7 +5,7 @@ opening bit, every leaf an open-close pair, every ')' a closing bit.
 Weights land in pre-order slots (slot i-1 for node i), and each label
 maps to its node's pre-order index, so nothing pointer shaped is ever
 built.  A parsed pair keeps no names: it holds the two encodings, the
-code map and the weights.  parse_tree keeps the names as a LabelTable
+ranks and the weights.  parse_tree keeps the names as a LabelTable
 for write_newick and pack.
 
 Each text is read by one of two passes.  The accepting pass,
@@ -59,7 +59,7 @@ from math import isfinite
 
 import numpy as np
 
-from .bp import BpTree
+from .bp import BpTree, subtree_sizes
 
 _LABEL_CHAR = r"[^(),;:\s\[\]']"
 _TOKEN = re.compile(rf"\s+|([(),;])|:({_LABEL_CHAR}*)"
@@ -133,21 +133,21 @@ class LabelTable:
 
 
 class TreePair:
-    """Two parsed trees joined by a code map.
+    """Two parsed trees joined by the int32 array ranks.
 
-    code_map is an int32 array with one slot per node of tree 1: slot i-1
-    holds the pre-order index in tree 2 of the node carrying the same
-    label as node i of tree 1, or 0 when node i is unlabelled.  In full
-    mode both trees have the same node count n; in leaf mode they share
-    the leaf count and n is the node count of tree 1.
+    In leaf mode ranks has one slot per leaf of tree 1, in leaf order:
+    slot k holds the rank among tree 2's leaves, from 1, of the namesake
+    of tree 1's leaf k.  In full mode it has one slot per node: slot i-1
+    holds the pre-order index in tree 2 of node i's namesake, and both
+    trees have n nodes.  In leaf mode n is the node count of tree 1.
     """
 
-    __slots__ = ("t1", "t2", "code_map", "w1", "w2", "mode")
+    __slots__ = ("t1", "t2", "ranks", "w1", "w2", "mode")
 
-    def __init__(self, t1, t2, code_map, w1, w2, mode):
+    def __init__(self, t1, t2, ranks, w1, w2, mode):
         self.t1 = t1
         self.t2 = t2
-        self.code_map = code_map
+        self.ranks = ranks
         self.w1 = w1
         self.w2 = w2
         self.mode = mode
@@ -159,6 +159,24 @@ class TreePair:
     @property
     def weighted(self) -> bool:
         return self.w1 is not None
+
+    @property
+    def code_map(self):
+        """Slot i-1: the pre-order index in tree 2 of node i's namesake,
+        or 0 if node i has no label; made from ranks on each call."""
+        if self.mode == "full":
+            return self.ranks
+        leaves1, leaves2 = (np.flatnonzero(subtree_sizes(t.bits.to01()) == 1)
+                            for t in (self.t1, self.t2))
+        code = np.zeros(self.n, np.int32)
+        code[leaves1] = leaves2[self.ranks - 1] + 1
+        return code
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: both bit payloads, the ranks and any weights."""
+        return sum(len(t.bits.packed_bytes) for t in (self.t1, self.t2)) + sum(
+            a.nbytes for a in (self.ranks, self.w1, self.w2) if a is not None)
 
 
 def _scan(text, tree_index):
@@ -473,12 +491,12 @@ def parse_pair(text1: str, text2: str, mode: str = "leaf",
     parts = _fast_pair(text1, text2, mode, weighted)
     if parts is None:
         parts = _checked_pair(text1, text2, mode, weighted)
-    bits1, bits2, code, w1, w2 = parts
-    return TreePair(BpTree(bits1), BpTree(bits2), code, w1, w2, mode)
+    bits1, bits2, ranks, w1, w2 = parts
+    return TreePair(BpTree(bits1), BpTree(bits2), ranks, w1, w2, mode)
 
 
 def _fast_pair(text1, text2, mode, weighted):
-    """(bits1, bits2, code, w1, w2) by the accepting pass, or None; the
+    """(bits1, bits2, ranks, w1, w2) by the accepting pass, or None; the
     weights are None unless weighted.  Each tree's label hashes are
     sorted; tree 1's must differ pairwise and tree 2's equal them, which
     pairs every label with its namesake, and the pairs are then checked
@@ -515,11 +533,15 @@ def _fast_pair(text1, text2, mode, weighted):
     at_byte += pos2
     if not (data1.take(at_byte) == lb2).all():
         return None
-    code = np.zeros(len(bits1) // 2, np.int32)
-    code[at1[into] - 1] = at2
+    if mode == "leaf":  # labels are leaves, in leaf order in both trees
+        ranks = np.empty_like(into)
+        ranks[into] = np.arange(1, into.size + 1, dtype=np.int32)
+    else:
+        ranks = np.zeros(len(bits1) // 2, np.int32)
+        ranks[at1[into] - 1] = at2
     if not weighted:
         w1 = w2 = None
-    return bits1, bits2, code, w1, w2
+    return bits1, bits2, ranks, w1, w2
 
 
 def _checked_pair(text1, text2, mode, weighted):
@@ -554,10 +576,15 @@ def _checked_pair(text1, text2, mode, weighted):
         lab = min(table1.keys() - table2.keys(), key=table1.get)
         raise LabelMismatchError(f"label '{lab}' missing from second tree",
                                  len(text2), 2)
-    code = np.zeros(len(bits1) // 2, np.int32)
-    code[into - 1] = np.fromiter(table2.values(), np.int32, len(table2))
+    if mode == "leaf":
+        # the tables hold the leaves in leaf order: table2's order sorted
+        # by tree 1's index, into, gives each tree-1 leaf its rank
+        ranks = (into.argsort() + 1).astype(np.int32)
+    else:
+        ranks = np.zeros(len(bits1) // 2, np.int32)
+        ranks[into - 1] = np.fromiter(table2.values(), np.int32, len(table2))
     return (np.frombuffer(bits1, np.uint8), np.frombuffer(bits2, np.uint8),
-            code, np.array(w1) if weighted else None,
+            ranks, np.array(w1) if weighted else None,
             np.array(w2) if weighted else None)
 
 

@@ -200,9 +200,9 @@ class SizeReport:
 
 
 def size_report(pair) -> SizeReport:
-    """The report of one BpTree, or of a TreePair's tree 1."""
-    tree = pair.t1 if isinstance(pair, TreePair) else pair
-    n = tree.n_nodes
-    bp = 2 * n
-    map_bits = 32 * n
-    return SizeReport(bp, map_bits, bp + map_bits, 192 * n - 64)
+    """A TreePair's tree 1 and the 32-bit ranks it holds, one per leaf in
+    leaf mode and per node in full mode; a lone BpTree (bprf pack
+    --report) counts one slot per node, exactly 34n bits."""
+    n = pair.n if isinstance(pair, TreePair) else pair.n_nodes
+    slots = pair.ranks.size if isinstance(pair, TreePair) else n
+    return SizeReport(2 * n, 32 * slots, 2 * n + 32 * slots, 192 * n - 64)

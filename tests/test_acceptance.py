@@ -159,8 +159,8 @@ def _ternary_caterpillar(n_leaves, reverse=False):
 
 
 def test_criterion_4_space_accounting():
-    with criterion(4, "size report at 10^5 nodes: exactly 34n total, "
-                      "192n-64 baseline, ceil(2n/8) packed bytes"):
+    with criterion(4, "size report at 10^5 nodes: exactly 2n + 32 per "
+                      "leaf, 192n-64 baseline, ceil(2n/8) packed bytes"):
         leaves = 50_001
         a = _ternary_caterpillar(leaves)
         b = _ternary_caterpillar(leaves, reverse=True)
@@ -169,8 +169,8 @@ def test_criterion_4_space_accounting():
         assert n == 100_000
 
         rep = size_report(pair)
-        assert rep.bp_bits + rep.map_bits == 34 * n
-        assert rep.total_bits == 34 * n
+        assert rep.bp_bits + rep.map_bits == 2 * n + 32 * leaves
+        assert rep.total_bits == 2 * n + 32 * leaves
         assert rep.comparison_bits_day == 192 * n - 64
 
         # the bit-vector section is exactly ceil(2n/8) bytes: the label

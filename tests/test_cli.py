@@ -176,13 +176,16 @@ def test_dist_stats(nwk):
     a, b = nwk("a", T4), nwk("b", T5)
     f2, f3 = nwk("f2", T2), nwk("f3", T3)
     line = re.compile(r"stats: read_s=\d+\.\d{6} parse_s=\d+\.\d{6} "
-                      r"distance_s=\d+\.\d{6} candidates=(\d+)\n\Z")
-    for argv, candidates in (
-            ((a, b), compute(parse_pair(T4, T5), "rf").ops.total()),
-            ((a, b, "--emit-common", "--raw"), None),
+                      r"distance_s=\d+\.\d{6} candidates=(\d+) "
+                      r"held_bytes=(\d+)\n\Z")
+    # held_bytes: two 3-byte payloads and an int32 rank per leaf (T4, T5)
+    # or per node (T2, T3)
+    for argv, candidates, held in (
+            ((a, b), compute(parse_pair(T4, T5), "rf").ops.total(), 30),
+            ((a, b, "--emit-common", "--raw"), None, 30),
             ((f2, f3, "--metric", "erf"),
-             compute(parse_pair(T2, T3, "full"), "erf").ops.total()),
-            ((a, b, "--algo", "day"), 0)):
+             compute(parse_pair(T2, T3, "full"), "erf").ops.total(), 42),
+            ((a, b, "--algo", "day"), 0, 30)):
         plain = run_cli("dist", *argv)
         stats = run_cli("dist", *argv, "--stats")
         assert (stats.returncode, stats.stdout) == (0, plain.stdout)
@@ -191,6 +194,7 @@ def test_dist_stats(nwk):
         assert m, stats.stderr
         if candidates is not None:
             assert int(m.group(1)) == candidates
+        assert int(m.group(2)) == held
     for argv, code in (((a, nwk("bad", "((A,B);")), 2),
                        ((a, nwk("c", "(A,B);")), 4),
                        ((a, a, "--metric", "erf"), 3)):
@@ -292,7 +296,9 @@ def test_pack_report_matches_library(nwk):
     src = nwk("a", T4)
     r = run_cli("pack", src, "/dev/null", "--report")
     assert r.returncode == 0
-    assert r.stdout.strip() == str(size_report(parse_pair(T4, T4)))
+    # a lone tree is reported with one 32-bit slot per node: 34n bits
+    assert r.stdout.strip() == str(size_report(parse_tree(T4)[0]))
+    assert "total_bits 340\n" in r.stdout
 
 
 def test_pack_report_partial_labels(nwk, tmp_path):

@@ -81,6 +81,8 @@ def test_weights_and_sum():
     assert pair.w2.tolist() == expect
     assert math.fsum(pair.w1) + math.fsum(pair.w2) == \
         pytest.approx(6.8, abs=1e-12)
+    # two 3-byte payloads, nine int32 ranks and two weight vectors
+    assert pair.nbytes == 3 + 3 + 9 * 4 + 2 * 9 * 8
 
 
 def test_weights_sum_against_char_scan():
@@ -239,12 +241,14 @@ def test_write_newick_fixed():
 
 
 def test_pair_retains_few_bits_per_node():
-    # the pair keeps two encodings, the code map and the weights; the
-    # label strings and the join table die inside parse_pair.  That is
-    # about 36 bits/node, and 164 with two float64 weight vectors; the
-    # margin is under the 18 or more that a rank directory held as
-    # Python ints would add
-    for full, bound in ((False, 48), (True, 176)):
+    # the pair keeps two encodings, the ranks and the weights; the label
+    # bytes and the join arrays die inside parse_pair.  A leaf pair holds
+    # one int32 rank per leaf, about 20.7 bits/node at 10k leaves, so a
+    # map slot per node (32 bits more) fails the bound.  A full weighted
+    # pair holds a rank per node and two float64 weight vectors, about
+    # 165; the margin is under the 18 or more that a rank directory held
+    # as Python ints would add
+    for full, bound in ((False, 26), (True, 176)):
         a, b = generate_pair_texts(10_000, 3, full=full, weights=full)
         tracemalloc.start()
         try:
@@ -314,6 +318,29 @@ def test_leaf_join_random(seed, n_leaves):
     assert nonzero == n_leaves
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30))
+def test_leaf_ranks_random(seed, n_leaves):
+    # a leaf pair holds, per tree-1 leaf in leaf order, the rank of its
+    # namesake among tree 2's leaves, by either pass: a non-ASCII space
+    # sends a text to the error pass
+    rng = random.Random(seed)
+    texts = []
+    for arity in ("binary", "mixed"):
+        root = random_topology(rng, n_leaves, arity)
+        assign_labels(root, rng)
+        texts.append(to_newick(root))
+    names1, names2 = ([name for name in parse_tree(t)[1]._names if name]
+                      for t in texts)
+    spaced = texts[0].replace(";", "\u2003;")
+    assert newick._fast_scan(spaced) is None
+    for text1 in texts[0], spaced:
+        ranks = parse_pair(text1, texts[1]).ranks
+        assert ranks.dtype == np.int32
+        assert sorted(ranks.tolist()) == list(range(1, n_leaves + 1))
+        assert [names2[r - 1] for r in ranks.tolist()] == names1
+
+
 # ----------------------------------------------------------------------
 # the accepting pass against the error pass
 
@@ -332,7 +359,8 @@ def _outcome(parse, *args, **kw):
 
     if isinstance(r, TreePair):
         return (r.t1.bits.to01().tobytes(), r.t2.bits.to01().tobytes(),
-                r.code_map.dtype.str, r.code_map.tobytes(), w(r.w1), w(r.w2),
+                r.code_map.dtype.str, r.code_map.tobytes(),
+                r.ranks.dtype.str, r.ranks.tobytes(), w(r.w1), w(r.w2),
                 r.mode)
     tree, labels, weights = r
     return tree.bits.to01().tobytes(), tuple(labels._names), w(weights)

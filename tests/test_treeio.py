@@ -16,6 +16,7 @@ from bprf.treeio import PackError, SizeReport, pack, size_report, unpack
 from conftest import assign_labels, random_topology, to_newick
 
 T4 = "(((A,B),C),(D,E,F));"
+T2 = "(((B,C)F,D)G,(A,E)H)I;"
 _HEADER = 4 + 1 + 1 + 8  # magic, version, flags, node count
 
 
@@ -230,30 +231,36 @@ def test_size_report_frozen():
     pair = parse_pair(T4, "((D,E,F),(B,(A,C)));")
     rep = size_report(pair)
     assert rep.bp_bits == 20
-    assert rep.map_bits == 320
+    assert rep.map_bits == 192  # six leaves, one 32-bit rank each
     assert rep.comparison_bits_day == 1856
-    assert rep.total_bits == 34 * pair.n == 340
+    assert rep.total_bits == 2 * pair.n + 32 * 6 == 212
     assert str(rep).splitlines()[0] == "bp_bits 20"
+    # a full pair holds a rank per node; a lone tree is reported so too
+    pair = parse_pair(T2, T2, mode="full")
+    assert size_report(pair).total_bits == 34 * pair.n == 306
+    assert size_report(pair.t1) == size_report(pair)
 
 
 def _spine_pair(n_nodes):
     k = n_nodes - 1
     bits = np.array([1] * k + [1, 0] + [0] * k, dtype=np.uint8)
     tree = BpTree(bits)
-    return TreePair(tree, tree, np.zeros(n_nodes, dtype=np.int32),
+    return TreePair(tree, tree, np.ones(1, dtype=np.int32),
                     None, None, "leaf")
 
 
 def test_size_report_is_34n_on_large_pairs():
-    # 2 bits of parentheses and 32 of map per node, and nothing besides
+    # 2 bits of parentheses per node and 32 per rank held, one rank per
+    # leaf in leaf mode, and nothing besides
     for n in (10**3, 10**6):
-        assert size_report(_spine_pair(n)).total_bits == 34 * n
+        assert size_report(_spine_pair(n)).total_bits == 2 * n + 32
     # a random 100k-leaf pair, as the benchmark parses
     pair = parse_pair(*generate_pair_texts(100_000, 1))
-    assert size_report(pair).total_bits == 34 * pair.n
+    assert size_report(pair).total_bits == 2 * pair.n + 32 * 100_000
 
 
 def test_size_report_is_34n():
+    # leaf pairs hold 2n + 32 per leaf, full pairs exactly 34n
     for n_leaves in (2, 7, 33):
         rng = random.Random(n_leaves)
         root = random_topology(rng, n_leaves, "mixed")
@@ -261,5 +268,10 @@ def test_size_report_is_34n():
         text = to_newick(root)
         pair = parse_pair(text, text)
         rep = size_report(pair)
-        assert rep.bp_bits + rep.map_bits == 34 * pair.n
-        assert rep.total_bits == 34 * pair.n
+        assert rep.bp_bits + rep.map_bits == 2 * pair.n + 32 * n_leaves
+        assert rep.total_bits == 2 * pair.n + 32 * n_leaves
+        root = random_topology(rng, n_leaves, "mixed")
+        assign_labels(root, rng, full=True)
+        text = to_newick(root)
+        pair = parse_pair(text, text, mode="full")
+        assert size_report(pair).total_bits == 34 * pair.n
