@@ -36,6 +36,13 @@ set and a hash collision all fail one of these checks, and any failure
 gives the pair to the error pass: a collision costs time, never a wrong
 join.
 
+The accepting pass bounds what it holds at once.  Its per-byte class
+arrays and per-token arrays span the text, but the index arrays that
+compress builds, the label hashes' per-byte products, the byte check
+and the weight literals' bytes and conversion are made a chunk of
+_BYTES slots or bytes at a time; a label longer than a chunk is a chunk
+of its own, and a text that fits in one chunk is read in one.
+
 Label syntax: a maximal run of characters excluding '(' ')' ',' ':' ';'
 '[' ']' "'" and whitespace (every character that str.isspace accepts).
 Weight syntax: ':' immediately followed by a finite decimal literal
@@ -90,6 +97,9 @@ _FOLLOW = {_OPEN: (_OPEN, _LAB), _COMMA: (_OPEN, _LAB),
            _CLOSE: (_LAB, _COLON, _COMMA, _CLOSE, _SEMI),
            _COLON: (_COMMA, _CLOSE, _SEMI)}
 _PAIRS = bytes(8 * a + b for a, follow in _FOLLOW.items() for b in follow)
+# the accepting pass makes its index arrays and per-byte products of labels
+# and literals this many slots or bytes at a time
+_BYTES = 1 << 16
 # \s and \d know Unicode: a whitespace character that is not ASCII is the
 # error pass's to read
 _WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
@@ -312,22 +322,24 @@ def _fast_scan(text, mode=None, weighted=False):
     tok = first
     tok[1:] &= c[:-1] != _COLON
     tok |= c >= _OPEN
-    kinds = c.compress(tok)
+    kinds = _pick(c, tok)
     del c, lab, first, tok
     # deleting the allowed codes of adjacent kinds leaves any other
     pairs = (kinds[:-1] * 8 + kinds[1:]).tobytes()
     if (not kinds.size or kinds[0] not in (_OPEN, _LAB)
             or kinds[-1] != _SEMI or pairs.translate(None, _PAIRS)):
         return None
+    del pairs
 
     # brackets and commas: ',' needs an open '(', ')' one to close and ';'
     # none; a ')' whose level has no ',' closes a single child
     sel = (kinds >= _OPEN) & (kinds <= _COMMA)
-    bk = kinds.compress(sel)
+    bk = _pick(kinds, sel)
     step = (bk == _OPEN).view(np.int8) - (bk == _CLOSE).view(np.int8)
     # np.add.accumulate, not np.cumsum: the latter's Python wrapper leaves
     # interpreter free-list blocks that tracemalloc counts as held
     depth = np.add.accumulate(step, dtype=np.int32)
+    del step
     if bk.size and (depth[-1] or np.minimum.reduce(depth) < 0
                     or np.minimum.reduce(depth.compress(bk == _COMMA),
                                          initial=1) < 1):
@@ -341,9 +353,10 @@ def _fast_scan(text, mode=None, weighted=False):
     order = key.argsort(kind="stable").astype(np.int32)
     del key
     sk = bk[order]
+    del bk
     if ((sk[:-1] == _OPEN) & (sk[1:] == _CLOSE)).any():
         return None
-    oc = order.compress(sk != _COMMA)
+    oc = _pick(order, sk != _COMMA)
     del order, sk
 
     # pre-order index of each token's node: a '(' or a leaf opens the next
@@ -357,7 +370,7 @@ def _fast_scan(text, mode=None, weighted=False):
     node = (kinds == _OPEN) | (is_lab ^ internal)
     cur = np.add.accumulate(node, dtype=np.int32)
     n = int(cur[-1])
-    cb = cur.compress(sel)
+    cb = _pick(cur, sel)
     cb[oc[1::2]] = cb[oc[0::2]]
     cur[sel] = cb
     del sel, cb, oc
@@ -367,11 +380,11 @@ def _fast_scan(text, mode=None, weighted=False):
     n_lab = int(np.count_nonzero(is_lab))
     if mode == "full" and n_lab != n:
         return None
-    at, w_at = cur.compress(is_lab), cur.compress(colon)
+    at, w_at = _pick(cur, is_lab), _pick(cur, colon)
 
     # every node writes its opening bit, then its closing bit; a '(' writes
     # only the first and a ')' only the second, 2 marks the bit not written
-    s = kinds.compress(node | (kinds == _CLOSE))
+    s = _pick(kinds, node | (kinds == _CLOSE))
     del kinds, is_lab, internal, node, cur, colon  # before the labels exist
     emit = np.empty((s.size, 2), np.uint8)
     emit[:, 0] = s == _CLOSE
@@ -379,7 +392,7 @@ def _fast_scan(text, mode=None, weighted=False):
     emit[:, 1] = s == _OPEN
     emit[:, 1] *= 2
     emit = emit.ravel()
-    bits = emit.compress(emit < 2)
+    bits = _pick(emit, emit < 2)
     del s, emit
 
     # every ':' owns the literal right after it
@@ -387,23 +400,52 @@ def _fast_scan(text, mode=None, weighted=False):
         return None
     w = None
     if w_at.size:
-        # the literals, each with the byte that ends it made a ','
-        at_byte, lead = _spans(run[is_w], run_len[is_w] + 1)
-        joined = data.take(at_byte)
-        del at_byte
-        joined[lead[1:] - 1] = ord(",")
-        joined = joined[:-1].tobytes()
-        if not _NUMBERS.match(joined):
-            return None
-        vals = np.fromstring(joined, sep=",")
-        del joined  # before the weight vector exists
-        if not np.isfinite(vals).all():
-            return None
         w = np.zeros(n)
-        w[w_at - 1] = vals
+        start, length = run[is_w], run_len[is_w] + 1
+        for lo, hi in _chunks(start, length):
+            # the literals, each with the byte that ends it made a ','
+            at_byte, lead = _spans(start[lo:hi], length[lo:hi])
+            joined = data.take(at_byte)
+            del at_byte
+            joined[lead[1:] - 1] = ord(",")
+            joined = joined[:-1].tobytes()
+            if not _NUMBERS.match(joined):
+                return None
+            w[w_at[lo:hi] - 1] = np.fromstring(joined, sep=",")
+            del joined
+        if not np.isfinite(w).all():
+            return None
         w[0] = 0.0  # the root's weight is discarded
     is_w ^= True
     return bits, data, run[is_w], run_len[is_w], at, w
+
+
+def _pick(a, mask):
+    """a.compress(mask), made _BYTES slots at a time: compress builds an
+    intp index of every slot it keeps."""
+    if a.size <= _BYTES:
+        return a.compress(mask)
+    out = np.empty(np.count_nonzero(mask), a.dtype)
+    k = 0
+    for lo in range(0, a.size, _BYTES):
+        part = a[lo:lo + _BYTES].compress(mask[lo:lo + _BYTES])
+        out[k:k + part.size] = part
+        k += part.size
+    return out
+
+
+def _chunks(start, length):
+    """Yields runs lo, hi of consecutive spans data[start[k]:start[k] +
+    length[k]], in text order, that lie within _BYTES bytes of text; a
+    span longer than that is a run of its own."""
+    lo = 0
+    while lo < start.size:
+        stop = int(start[lo]) + _BYTES
+        hi = int(start.searchsorted(stop, "right"))
+        if start[hi - 1] + length[hi - 1] > stop:  # the last one runs past
+            hi = max(hi - 1, lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 def _spans(start, length):
@@ -447,13 +489,23 @@ def _label_hashes(lb, pos, lead, length):
     return h
 
 
-def _labels(data, start, length):
-    """(lb, pos, hashes): the labels' bytes end to end, each byte's offset
-    in its label, and every label's hash."""
+def _label_bytes(data, start, length):
+    """(lb, pos, lead): the labels' bytes end to end, each byte's offset
+    in its label and each label's first slot there."""
     pos, lead = _spans(start, length)
     lb = data.take(pos)
     pos -= start.repeat(length)
-    return lb, pos, _label_hashes(lb, pos, lead, length)
+    return lb, pos, lead
+
+
+def _labels(data, start, length):
+    """(hashes, lb, pos): every label's hash, made a chunk of labels at a
+    time, and the last chunk's lb and pos (see _label_bytes)."""
+    h = np.empty(length.size, np.uint64)
+    for lo, hi in _chunks(start, length):
+        lb, pos, lead = _label_bytes(data, start[lo:hi], length[lo:hi])
+        h[lo:hi] = _label_hashes(lb, pos, lead, length[lo:hi])
+    return h, lb, pos
 
 
 def _node_offset(text, k):
@@ -500,14 +552,18 @@ def _fast_pair(text1, text2, mode, weighted):
     weights are None unless weighted.  Each tree's label hashes are
     sorted; tree 1's must differ pairwise and tree 2's equal them, which
     pairs every label with its namesake, and the pairs are then checked
-    byte for byte.  While tree 2 is read, tree 1 holds only its pair
-    arrays, its bytes and spans and its sorted hashes."""
+    byte for byte, a chunk of tree 2's labels at a time.  While tree 2
+    is read, tree 1 holds its bits, its bytes, its label spans, its
+    weights, its sorted hashes with their order and, in full mode only,
+    its labels' nodes."""
     scan = _fast_scan(text1, mode, weighted)
     if scan is None:
         return None
     bits1, data1, start1, len1, at1, w1 = scan
     del scan
-    h1 = _labels(data1, start1, len1)[2]
+    if mode == "leaf":
+        del at1
+    h1 = _labels(data1, start1, len1)[0]
     o1 = h1.argsort().astype(np.int32)
     h1 = h1[o1]
     if (h1[1:] == h1[:-1]).any():  # a repeated label, or a collision
@@ -517,7 +573,7 @@ def _fast_pair(text1, text2, mode, weighted):
         return None
     bits2, data2, start2, len2, at2, w2 = scan
     del scan
-    lb2, pos2, h2 = _labels(data2, start2, len2)
+    h2, lb2, pos2 = _labels(data2, start2, len2)
     o2 = h2.argsort().astype(np.int32)
     if not (h2[o2] == h1).all():
         return None
@@ -529,10 +585,14 @@ def _fast_pair(text1, text2, mode, weighted):
     del o1, o2
     if not (len1[into] == len2).all():
         return None
-    at_byte = start1[into].repeat(len2)
-    at_byte += pos2
-    if not (data1.take(at_byte) == lb2).all():
-        return None
+    for lo, hi in _chunks(start2, len2):
+        # _labels left the last chunk's bytes, all of them in one chunk
+        lb, pos, _ = (lb2, pos2, None) if hi == len2.size else _label_bytes(
+            data2, start2[lo:hi], len2[lo:hi])
+        at_byte = start1[into[lo:hi]].repeat(len2[lo:hi])
+        at_byte += pos
+        if not (data1.take(at_byte) == lb).all():
+            return None
     if mode == "leaf":  # labels are leaves, in leaf order in both trees
         ranks = np.empty_like(into)
         ranks[into] = np.arange(1, into.size + 1, dtype=np.int32)

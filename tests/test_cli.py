@@ -71,6 +71,23 @@ def test_dist_self_zero(nwk):
     assert (r.returncode, r.stdout) == (0, "0\n")
 
 
+def test_dist_import_footprint(nwk):
+    # dist imports only locale lazily; numpy.ma or fractions pulled in by
+    # the parse or the distance would cost every bprf dist child start-up
+    # time and RSS
+    script = ("import sys; from bprf.cli import main; main(sys.argv[1:]); "
+              "print([m for m in ('numpy.ma', 'fractions') "
+              "if m in sys.modules])")
+    a, b = generate_pair_texts(30, 4, full=True, weights=True)
+    for argv in ((nwk("a", a), nwk("b", b), "--metric", "werf"),
+                 (nwk("c", T4), nwk("d", T5))):
+        r = subprocess.run([sys.executable, "-c", script, "dist", *argv],
+                           capture_output=True, text=True, env=_ENV,
+                           timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == "[]"
+
+
 def test_dist_day_matches(nwk):
     r = run_cli("dist", nwk("a", T4), nwk("b", T5), "--algo", "day", "--raw")
     assert (r.returncode, r.stdout) == (0, "2\n")

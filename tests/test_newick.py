@@ -382,6 +382,11 @@ def _both_passes(parse, *args, **kw):
        st.sampled_from(["leaf", "full"]), st.booleans())
 def test_fast_path_matches_error_pass(seed, n_leaves, arity, full, weights,
                                       mode, weighted):
+    _check_random_pair(seed, n_leaves, arity, full, weights, mode, weighted)
+
+
+def _check_random_pair(seed, n_leaves, arity, full, weights, mode,
+                       weighted):
     rng = random.Random(seed)
     texts = []
     for _ in range(2):
@@ -391,6 +396,8 @@ def test_fast_path_matches_error_pass(seed, n_leaves, arity, full, weights,
     fast, slow = _both_passes(parse_pair, *texts, mode=mode,
                               weighted=weighted)
     assert fast == slow
+    if not isinstance(slow[0], type):  # a pair accepted, by both passes
+        assert newick._fast_pair(*texts, mode, weighted) is not None
     for text in texts:
         fast, slow = _both_passes(parse_tree, text)
         assert fast == slow
@@ -421,9 +428,14 @@ def _mutate(rng, text):
 
 
 def test_fast_path_matches_error_pass_on_mutants():
-    rng = random.Random(20261019)
+    assert _check_mutants(random.Random(20261019), 1500) > 300
+
+
+def _check_mutants(rng, rounds):
+    """Both passes on rounds random pairs, mostly one text mutated; the
+    number of pairs accepted."""
     accepted = 0
-    for _ in range(1500):
+    for _ in range(rounds):
         n_leaves = rng.randint(1, 10)
         arity = rng.choice(["binary", "mixed"])
         full, weights = rng.random() < 0.5, rng.random() < 0.5
@@ -445,7 +457,7 @@ def test_fast_path_matches_error_pass_on_mutants():
         for text in texts:
             fast, slow = _both_passes(parse_tree, text)
             assert fast == slow, text
-    assert accepted > 300
+    return accepted
 
 
 @pytest.mark.parametrize("full,weights", [(False, False), (True, False),
@@ -555,39 +567,52 @@ def test_join_edge_cases(a, b, mode):
 
 
 @pytest.mark.parametrize("a,b,mode", _JOIN_PAIRS)
-def test_hash_collision_sent_to_error_pass(a, b, mode, monkeypatch):
+def test_hash_collision_sent_to_error_pass(a, b, mode):
+    _check_collision(a, b, mode)
+
+
+def _check_collision(a, b, mode):
     # with every two labels of a length colliding, the answer is the
     # same: a collision costs time, never a wrong join
     want = _outcome(parse_pair, a, b, mode=mode)
     calls = []
     checked = newick._checked_pair
-    monkeypatch.setattr(newick, "_label_hashes", _length_hash)
-    monkeypatch.setattr(newick, "_checked_pair",
-                        lambda *args: calls.append(1) or checked(*args))
-    assert _outcome(parse_pair, a, b, mode=mode) == want
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newick, "_label_hashes", _length_hash)
+        m.setattr(newick, "_checked_pair",
+                  lambda *args: calls.append(1) or checked(*args))
+        assert _outcome(parse_pair, a, b, mode=mode) == want
     lengths = [len(s.encode()) for s in newick._LABEL.findall(a)]
     if len(set(lengths)) < len(lengths):
         assert calls  # the collision gave the pair to the error pass
 
 
-def test_hash_collision_on_generated_pairs(monkeypatch):
+def test_hash_collision_on_generated_pairs():
+    _check_collision_generated()
+
+
+def _check_collision_generated():
     for full, weights in ((False, False), (True, True)):
         mode = "full" if full else "leaf"
         a, b = generate_pair_texts(300, 5, "random", full, weights)
         want = _outcome(parse_pair, a, b, mode=mode, weighted=weights)
         assert not isinstance(want[0], type)
-        monkeypatch.setattr(newick, "_label_hashes", _length_hash)
-        assert newick._fast_pair(a, b, mode, weights) is None
-        assert _outcome(parse_pair, a, b, mode=mode,
-                        weighted=weights) == want
-        monkeypatch.undo()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(newick, "_label_hashes", _length_hash)
+            assert newick._fast_pair(a, b, mode, weights) is None
+            assert _outcome(parse_pair, a, b, mode=mode,
+                            weighted=weights) == want
 
 
 def test_long_labels_join():
-    # labels past 8 bytes, and two past 10,000 that differ only in their
-    # last byte, take the accepting pass and join as _scan does
+    # labels past 8 bytes, two past 10,000 that differ only in their last
+    # byte, and one longer than a chunk, which is hashed and checked as a
+    # chunk of its own, take the accepting pass and join as _scan does
     long = "L" * 10_000
-    names = [f"label{i:05d}" for i in range(40)] + [long + "a", long + "b"]
+    huge = "H" * 70_000
+    assert len(huge) > newick._BYTES
+    names = [f"label{i:05d}" for i in range(40)] + [long + "a", long + "b",
+                                                     huge]
     rng = random.Random(7)
     a, b = (_named_tree(rng, names) for _ in range(2))
     with pytest.MonkeyPatch.context() as m:
@@ -614,3 +639,121 @@ def _named_tree(rng, names):
     for v, name in zip(leaves, rng.sample(names, len(names))):
         v.label = name
     return to_newick(root)
+
+
+# ----------------------------------------------------------------------
+# chunks: the accepting pass makes its index arrays and its per-byte
+# label and literal products _BYTES slots or bytes at a time.  With
+# _BYTES made small, every label, literal and token array of these texts
+# crosses chunk edges, and the answers stay the error pass's
+
+_CHUNK_SIZES = (1, 7, 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_CHUNK_SIZES), st.integers(0, 2**32 - 1),
+       st.integers(1, 30), st.sampled_from(["binary", "mixed"]),
+       st.booleans(), st.booleans(), st.sampled_from(["leaf", "full"]),
+       st.booleans())
+def test_chunk_edges_match_error_pass(size, seed, n_leaves, arity, full,
+                                      weights, mode, weighted):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newick, "_BYTES", size)
+        _check_random_pair(seed, n_leaves, arity, full, weights, mode,
+                           weighted)
+
+
+@pytest.mark.parametrize("size", _CHUNK_SIZES)
+def test_chunk_edges_on_mutants(size, monkeypatch):
+    monkeypatch.setattr(newick, "_BYTES", size)
+    assert _check_mutants(random.Random(size), 300) > 60
+
+
+@pytest.mark.parametrize("size", _CHUNK_SIZES)
+def test_chunk_edges_hash_collision(size, monkeypatch):
+    monkeypatch.setattr(newick, "_BYTES", size)
+    for a, b, mode in _JOIN_PAIRS:
+        _check_collision(a, b, mode)
+    _check_collision_generated()
+    # labels of twelve lengths, 78 bytes: tree 2's last label in text
+    # order, in the last chunk, has its namesake's length and hash but
+    # not its bytes
+    a = _named_tree(random.Random(size), [chr(64 + k) * k
+                                          for k in range(1, 13)])
+    last = newick._LABEL.findall(a)[-1]
+    b = a.replace(last, "z" * len(last))
+    assert _outcome(parse_pair, a, b)[0] is LabelMismatchError
+    _check_collision(a, b, "leaf")
+
+
+def test_literals_across_chunks():
+    # 20k weight literals of about 9 bytes fill several chunks of the
+    # default size, and so do the labels
+    a, b = generate_pair_texts(10_000, 7, full=True, weights=True)
+    assert len(":".join(a.split(":")[1:])) > 2 * newick._BYTES
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newick, "_scan", None)  # the accepting pass only
+        pair = parse_pair(a, b, "full", True)
+    assert np.count_nonzero(pair.w1) == pair.n - 1
+    fast, slow = _both_passes(parse_pair, a, b, mode="full", weighted=True)
+    assert fast == slow
+    # a literal the grammar rejects, in a later chunk, sends the text to
+    # the error pass
+    cut = a.rindex(":") + 1
+    bad = a[:cut] + "1x" + a[cut:]
+    assert newick._fast_scan(bad) is None
+    fast, slow = _both_passes(parse_pair, bad, b, mode="full", weighted=True)
+    assert fast == slow and fast[0] is ParseError
+
+
+def test_weighted_parse_peak():
+    # a fully-labelled weighted 30k-leaf pair spans several chunks; its
+    # parse peaked at 1775 bits/node with whole-text label hashes and
+    # literal spans, and reads 1254 in chunks (bound: that plus 15%)
+    a, b = generate_pair_texts(30_000, 3, full=True, weights=True)
+    tracemalloc.start()
+    try:
+        pair = parse_pair(a, b, "full", True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak * 8 / pair.n < 1442
+
+
+_EDGE_SIZES = [0, 1, newick._BYTES - 1, newick._BYTES, newick._BYTES + 1,
+               2 * newick._BYTES, 3 * newick._BYTES + 5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_EDGE_SIZES) | st.integers(0, 3 * newick._BYTES),
+       st.integers(0, 2**32 - 1), st.sampled_from([np.uint8, np.int32]),
+       st.floats(0, 1))
+def test_pick_is_compress(size, seed, dtype, density):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 100, size).astype(dtype)
+    mask = rng.random(size) < density
+    got = newick._pick(a, mask)
+    assert got.dtype == a.dtype
+    assert np.array_equal(got, a.compress(mask))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_CHUNK_SIZES),
+       st.lists(st.tuples(st.integers(1, 100), st.integers(0, 5)),
+                min_size=1, max_size=60))
+def test_chunks_cover_spans_in_order(size, spans):
+    # spans in text order, each run as long as it may be without its text
+    # passing size bytes, and a span longer than that a run of its own
+    length = np.array([k for k, _ in spans], np.int32)
+    gaps = np.array([g for _, g in spans], np.int32)
+    start = np.add.accumulate(gaps + length) - length
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newick, "_BYTES", size)
+        runs = list(newick._chunks(start, length))
+    assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+    assert runs[-1][1] == length.size
+    for lo, hi in runs:
+        text = int(start[hi - 1] + length[hi - 1] - start[lo])
+        assert text <= size or hi == lo + 1
+        if hi < length.size:
+            assert int(start[hi] + length[hi] - start[lo]) > size
