@@ -1,6 +1,5 @@
 """Robinson-Foulds distances over balanced-parentheses tree encodings."""
 
-from .bitvec import BitVector
 from .bp import BpTree
 from .newick import (
     LabelMismatchError,
@@ -26,7 +25,6 @@ from .baseline import day_rf, naive_metric
 from .treeio import PackError, SizeReport, pack, size_report, unpack
 
 __all__ = [
-    "BitVector",
     "BpTree",
     "DistanceResult",
     "LabelMismatchError",

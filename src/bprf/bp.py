@@ -1,26 +1,20 @@
 """Balanced-parentheses encoding of an ordered rooted tree.
 
-A tree with n nodes is the bit vector of its depth-first walk: 1 opens a
-node, 0 closes it, 2n bits total.  Node identity is carried two ways and
-both are 1-based: a position (index of an opening bit) and a pre-order
-index.  excess(p), the ones minus the zeros in positions 1..p, is the
-depth of the node open at position p, and rank1(p) of the bit vector
-is that node's pre-order index.  BpTree answers one node at a time:
-pre_order_select (one select1), lca and cluster_size (find_close).
-subtree_sizes answers cluster_size for every node at once, from the bits
-and one sort; the distance computation uses only that.
+A tree with n nodes is the bit string of its depth-first walk: 1 opens a
+node, 0 closes it, 2n bits in all.  Nodes are numbered 1..n in pre-order,
+the order of their opening bits, and a node's position is the 1-based
+index of its opening bit.  BpTree is those bits, packed, and nothing
+more.  The parse, the distances and pack/unpack read them whole, through
+to01 and packed_bytes, and subtree_sizes gives every node's subtree size
+from the bits and one sort.
 
-The tree holds its bits and nothing more.  Each single-node query is
-one numpy pass over the bits, O(n).  The excess walk moves in unit
-steps, so find_close(p) is the first position after p whose excess is
-excess(p) - 1, and lca(p, q) opens right after the last position before
-p whose excess is one below the least excess over [p..q].
-subtree_sizes and the distance computation need none of them.
+lca is the one query about single nodes, an O(n) numpy pass.  No code in
+the package calls it.  It stays because the benchmark's traced round
+(perfbench/tracing.py) wraps BpTree.lca by name, and the worked example
+of the acceptance tests reads a join through it.
 """
 
 import numpy as np
-
-from .bitvec import BitVector
 
 
 def _excess(bits):
@@ -54,50 +48,47 @@ def subtree_sizes(bits):
     return sizes
 
 
-
-
 class BpTree:
-    """Queries over a balanced-parentheses tree encoding."""
+    """A tree as its bits.  packed_bytes holds them 8 to a byte, most
+    significant bit first: position 1 is the high bit of byte 0, and the
+    pad bits are zero."""
+
+    __slots__ = ("packed_bytes", "n_nodes")
 
     def __init__(self, bits):
-        arr = np.asarray(bits, dtype=np.uint8)
-        self.bits = BitVector(arr)
-        m = self.bits.n_bits
-        if m < 2 or m % 2:
+        arr = np.asarray(bits)
+        if arr.ndim != 1:
+            raise ValueError("bits must be one-dimensional")
+        # checked before the cast, which would truncate 1.9 to 1
+        if not ((arr == 0) | (arr == 1)).all():
+            raise ValueError("bits must contain only 0 and 1")
+        arr = arr.astype(np.uint8, copy=False)
+        if arr.size < 2 or arr.size % 2:
             raise ValueError("parenthesis sequence must have positive even length")
 
         cum = _excess(arr)
         if int(cum[-1]) != 0 or int(cum[:-1].min(initial=1)) < 1:
             raise ValueError("not a balanced sequence with a single root")
 
-        self.n_bits = m
-        self.n_nodes = m // 2
+        self.packed_bytes = np.packbits(arr).tobytes()
+        self.n_nodes = arr.size // 2
 
-    def excess(self, p: int) -> int:
-        """Depth measure: ones minus zeros in positions 1..p."""
-        return 2 * self.bits.rank1(p) - p
-
-    def pre_order_select(self, i: int) -> int:
-        """Opening position of the i-th node in pre-order."""
-        return self.bits.select1(i)
-
-    def find_close(self, p: int) -> int:
-        """Position of the closing bit matching the open at p."""
-        bits = self.bits.to01()
-        if not 1 <= p <= self.n_bits or not bits[p - 1]:
-            raise ValueError(f"{p} is not an opening position")
-        # the first position after p where the excess counted from p
-        # falls back to 0
-        return p + int(np.argmax(_excess(bits[p - 1:]) == 0))
+    def to01(self):
+        """The bits as a new uint8 array of 0/1 values."""
+        return np.unpackbits(np.frombuffer(self.packed_bytes, np.uint8),
+                             count=2 * self.n_nodes)
 
     def lca(self, p: int, q: int) -> int:
-        """Opening position of the lowest common ancestor of two nodes.
+        """Opening position of the lowest common ancestor of the nodes open
+        at p and q.  The excess walk moves in unit steps, so it opens right
+        after the last position before p whose excess is one below the
+        least excess over [p..q].
 
         perfbench/tracing.py wraps this method by name, so it must not be
-        renamed or removed until ROADMAP item 5 restates what the
+        renamed or removed until ROADMAP item 1 restates what the
         benchmark traces."""
-        bits = self.bits.to01()
-        m = self.n_bits
+        bits = self.to01()
+        m = bits.size
         if not (0 < p <= m and 0 < q <= m and bits[p - 1] and bits[q - 1]):
             raise ValueError(f"lca needs two opening positions, got {p}, {q}")
         if p == q:
@@ -108,7 +99,3 @@ class BpTree:
         up = np.flatnonzero(exc[:p - 1] == exc[p - 1:].min() - 1)
         # with none, it is position 0, before the root, at excess 0
         return int(up[-1]) + 2 if up.size else 1
-
-    def cluster_size(self, p: int) -> int:
-        """Number of nodes in the subtree rooted at p."""
-        return (self.find_close(p) - p + 1) // 2

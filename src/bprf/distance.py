@@ -166,10 +166,10 @@ def _sweep(pair: TreePair, metric: str, impl: str,
 
     # leaf1 and leaf2 mark the leaves by pre-order index; a leaf is an
     # opening bit that a closing bit follows, or a node of size 1
-    bits2 = pair.t2.bits.to01()
+    bits2 = pair.t2.to01()
     leaf2 = (bits2[:-1] > bits2[1:])[bits2[:-1].view(bool)]
     del bits2
-    size = subtree_sizes(pair.t1.bits.to01())
+    size = subtree_sizes(pair.t1.to01())
     leaf1 = size == 1
 
     # tree 1's internal node i spans the pre-order slots [i, end); its
@@ -197,7 +197,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     del lo, hi, cand
 
     # tree 2, once tree 1's arrays are let go
-    size = subtree_sizes(pair.t2.bits.to01())
+    size = subtree_sizes(pair.t2.to01())
     if extended:
         # the node whose pre-order index is least must have that many
         # nodes; it is the match

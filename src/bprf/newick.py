@@ -176,7 +176,7 @@ class TreePair:
         or 0 if node i has no label; made from ranks on each call."""
         if self.mode == "full":
             return self.ranks
-        leaves1, leaves2 = (np.flatnonzero(subtree_sizes(t.bits.to01()) == 1)
+        leaves1, leaves2 = (np.flatnonzero(subtree_sizes(t.to01()) == 1)
                             for t in (self.t1, self.t2))
         code = np.zeros(self.n, np.int32)
         code[leaves1] = leaves2[self.ranks - 1] + 1
@@ -185,7 +185,7 @@ class TreePair:
     @property
     def nbytes(self) -> int:
         """Bytes held: both bit payloads, the ranks and any weights."""
-        return sum(len(t.bits.packed_bytes) for t in (self.t1, self.t2)) + sum(
+        return sum(len(t.packed_bytes) for t in (self.t1, self.t2)) + sum(
             a.nbytes for a in (self.ranks, self.w1, self.w2) if a is not None)
 
 
@@ -675,8 +675,8 @@ def parse_tree(text: str):
 def write_newick(tree: BpTree, labels: LabelTable, weights=None) -> str:
     """Canonical newick text: stored child order, labels verbatim, weights
     in shortest round-trip decimal form, none on the root."""
-    bits = tree.bits.to01().tolist()
-    m = tree.n_bits
+    bits = tree.to01().tolist()
+    m = len(bits)
     wlist = None if weights is None else (
         weights.tolist() if hasattr(weights, "tolist") else list(weights))
     out = []

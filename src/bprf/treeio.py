@@ -108,13 +108,13 @@ def pack(tree: BpTree, labels: LabelTable, weights=None) -> bytes:
         w = np.asarray(weights, dtype="<f8")
         if w.shape != (n,):
             raise ValueError(f"weight vector must have length {n}")
-    _check_writable(tree.bits.to01(), names, w)
+    _check_writable(tree.to01(), names, w)
 
     out = bytearray(MAGIC)
     out.append(VERSION)
     out.append(_FLAG_WEIGHTS if w is not None else 0)
     out += struct.pack("<Q", n)
-    out += tree.bits.packed_bytes
+    out += tree.packed_bytes
 
     entries = [(i, name) for i, name in enumerate(names, 1)
                if name is not None]

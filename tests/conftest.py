@@ -1,9 +1,11 @@
 """Shared test helpers: plain pointer trees and linear-scan oracles.
 
-Everything here is deliberately naive and independent of the package
-internals, so the real structures can be checked against straight-line
-reference computations.
+Everything here but leaves_under is deliberately naive and independent
+of the package internals, so the real structures can be checked against
+straight-line reference computations.
 """
+
+from bprf.bp import subtree_sizes
 
 
 class PNode:
@@ -128,7 +130,7 @@ def leafset(v):
 
 
 # ----------------------------------------------------------------------
-# linear-scan oracles for the bit vector and the tree
+# linear-scan oracles over a tree's bits
 
 
 def rank1_scan(bits, p):
@@ -145,10 +147,12 @@ def select_scan(bits, value, i):
 
 
 def leaves_under(tree, p=1):
-    """Leaves in the subtree of a BpTree open at p: the openings that a
-    closing follows, counted over its bits."""
-    bits = tree.bits.to01()[p - 1:tree.find_close(p)].tolist()
-    return sum(1 for x, y in zip(bits, bits[1:]) if x > y)
+    """Leaves in the subtree of a BpTree open at p: the nodes of size 1
+    among the subtree's, which follow the node in pre-order."""
+    bits = tree.to01()
+    i = rank1_scan(bits.tolist(), p) - 1
+    size = subtree_sizes(bits)
+    return int((size[i:i + size[i]] == 1).sum())
 
 
 # ----------------------------------------------------------------------

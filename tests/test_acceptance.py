@@ -20,7 +20,8 @@ from bprf.distance import compute, erf, rf_nextsibling, rf_postorder, werf, wrf
 from bprf.newick import parse_pair, parse_tree
 from bprf.treeio import pack, size_report, unpack
 
-from conftest import leaves_under, preorder, related_texts
+from conftest import (leaves_under, preorder, rank1_scan, related_texts,
+                      select_scan)
 
 T2 = "(((B,C)F,D)G,(A,E)H)I;"
 T3 = "((B,(D,C)F)G,(A,E)H)I;"
@@ -57,12 +58,13 @@ def test_criterion_1_fixture_walkthrough():
         # their lca in T5 is node 6, covering three leaves, while the
         # original cluster (T4 node 3) covers two, so no match
         t1, t2 = pair45.t1, pair45.t2
-        pa = t2.pre_order_select(code[4 - 1])
-        pb = t2.pre_order_select(code[5 - 1])
+        bits1, bits2 = t1.to01().tolist(), t2.to01().tolist()
+        pa = select_scan(bits2, 1, code[4 - 1])
+        pb = select_scan(bits2, 1, code[5 - 1])
         anc = t2.lca(pa, pb)
-        assert t2.bits.rank1(anc) == 6
+        assert rank1_scan(bits2, anc) == 6
         assert leaves_under(t2, anc) == 3
-        assert leaves_under(t1, t1.pre_order_select(3)) == 2
+        assert leaves_under(t1, select_scan(bits1, 1, 3)) == 2
 
         assert time.perf_counter() - t0 < 1.0
 
@@ -178,11 +180,11 @@ def test_criterion_4_space_accounting():
         tree, labels, _ = parse_tree(a)
         blob = pack(tree, labels)
         bp_bytes = (2 * n + 7) // 8
-        assert blob[14:14 + bp_bytes] == pair.t1.bits.packed_bytes
-        assert len(pair.t1.bits.packed_bytes) == bp_bytes
+        assert blob[14:14 + bp_bytes] == pair.t1.packed_bytes
+        assert len(pair.t1.packed_bytes) == bp_bytes
         assert struct.unpack("<I", blob[14 + bp_bytes:18 + bp_bytes]) \
             == (leaves,)
-        assert unpack(blob)[0].bits.packed_bytes == blob[14:14 + bp_bytes]
+        assert unpack(blob)[0].packed_bytes == blob[14:14 + bp_bytes]
 
 
 def test_criterion_5_runtime_scaling():

@@ -335,7 +335,7 @@ def test_unpack_corrupt(tmp_path):
     # "(A);", whose root has one child (bits 1100)
     tree = parse_tree("((A,B),C);")[0]
     unnamed = (b"SBPT\x01\x00" + (5).to_bytes(8, "little")
-               + tree.bits.packed_bytes + (2).to_bytes(4, "little")
+               + tree.packed_bytes + (2).to_bytes(4, "little")
                + b"\x04\x01B\x05\x01C")
     unary = (b"SBPT\x01\x00" + (2).to_bytes(8, "little") + b"\xc0"
              + (1).to_bytes(4, "little") + b"\x02\x01A")

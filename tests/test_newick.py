@@ -37,7 +37,7 @@ W1 = "(((B:0.2,C:0.2)W:0.3,D:0.5)X:0.6,(A:0.5,E:0.5)Y:0.6)Z;"
 
 
 def bits01(tree):
-    return "".join(map(str, tree.bits.to01().tolist()))
+    return "".join(map(str, tree.to01().tolist()))
 
 
 def test_bit_encoding():
@@ -286,7 +286,7 @@ def test_roundtrip_random(seed, n_leaves, arity, full, weighted):
     tree, labels, w = parse_tree(text)
 
     bits, _ = encode_bits(root)
-    assert tree.bits.to01().tolist() == bits
+    assert tree.to01().tolist() == bits
     assert write_newick(tree, labels, w) == text
     if weighted:
         assert w[0] == 0.0
@@ -358,12 +358,12 @@ def _outcome(parse, *args, **kw):
         return None if a is None else (a.dtype.str, a.tobytes())
 
     if isinstance(r, TreePair):
-        return (r.t1.bits.to01().tobytes(), r.t2.bits.to01().tobytes(),
+        return (r.t1.to01().tobytes(), r.t2.to01().tobytes(),
                 r.code_map.dtype.str, r.code_map.tobytes(),
                 r.ranks.dtype.str, r.ranks.tobytes(), w(r.w1), w(r.w2),
                 r.mode)
     tree, labels, weights = r
-    return tree.bits.to01().tobytes(), tuple(labels._names), w(weights)
+    return tree.to01().tobytes(), tuple(labels._names), w(weights)
 
 
 def _both_passes(parse, *args, **kw):

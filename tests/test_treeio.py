@@ -36,7 +36,7 @@ def test_pack_layout_t4():
 def test_roundtrip_t4():
     tree, labels, _ = parse_tree(T4)
     t2, l2, w2 = unpack(pack(tree, labels))
-    assert t2.bits.to01().tolist() == tree.bits.to01().tolist()
+    assert t2.to01().tolist() == tree.to01().tolist()
     assert w2 is None
     for i in range(1, 11):
         assert l2.name_of(i) == labels.name_of(i)
@@ -104,7 +104,7 @@ def test_roundtrip_property(seed, n_leaves, weighted):
     assign_labels(root, rng, weights=weighted)
     tree, labels, w = parse_tree(to_newick(root, weights=weighted))
     t2, l2, w2 = unpack(pack(tree, labels, w))
-    assert t2.bits.to01().tolist() == tree.bits.to01().tolist()
+    assert t2.to01().tolist() == tree.to01().tolist()
     if weighted:
         assert w2.tolist() == w.tolist()
 
