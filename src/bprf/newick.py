@@ -28,20 +28,25 @@ pre-order.
 
 The accepting pass joins a pair's labels without a Python string per
 label.  Each label is a span of its text's UTF-8 bytes, and gets one
-64-bit hash of them.  Each tree's hashes are sorted; tree 1's must
-differ pairwise and tree 2's must equal them, so that position k of
-both sorts pairs a label with its namesake.  Every pair is then checked
-for equal length and equal bytes.  A repeated label, a different label
-set and a hash collision all fail one of these checks, and any failure
-gives the pair to the error pass: a collision costs time, never a wrong
-join.
+64-bit key.  A label of at most 7 bytes is its own key: its bytes, read
+as one little-endian word, masked to its length, with the length in
+the top byte, so that equal keys are equal bytes.  A longer label's key
+is a hash of its bytes with bit 63 set, which no short key has.  Each
+tree's keys are sorted; tree 1's must differ pairwise and tree 2's must
+equal them, so that position k of both sorts pairs a label with its
+namesake.  Every pair is then checked for equal length, and every pair
+of labels of 8 bytes or more for equal bytes.  A repeated label, a
+different label set and a hash collision all fail one of these checks,
+and any failure gives the pair to the error pass: a collision, which
+only labels of 8 bytes or more can have, costs time, never a wrong join.
 
 The accepting pass bounds what it holds at once.  Its per-byte class
 arrays and per-token arrays span the text, but the index arrays that
-compress builds, the label hashes' per-byte products, the byte check
-and the weight literals' bytes and conversion are made a chunk of
-_BYTES slots or bytes at a time; a label longer than a chunk is a chunk
-of its own, and a text that fits in one chunk is read in one.
+compress builds, the short labels' keys, the long labels' hashes'
+per-byte products, the byte check and the weight literals' bytes and
+conversion are made a chunk of _BYTES slots, labels or bytes at a time;
+a label longer than a chunk is a chunk of its own, and a text that fits
+in one chunk is read in one.
 
 Label syntax: a maximal run of characters excluding '(' ')' ',' ':' ';'
 '[' ']' "'" and whitespace (every character that str.isspace accepts).
@@ -66,7 +71,7 @@ from math import isfinite
 
 import numpy as np
 
-from .bp import BpTree, subtree_sizes
+from .bp import BpTree
 
 _LABEL_CHAR = r"[^(),;:\s\[\]']"
 _TOKEN = re.compile(rf"\s+|([(),;])|:({_LABEL_CHAR}*)"
@@ -100,6 +105,10 @@ _PAIRS = bytes(8 * a + b for a, follow in _FOLLOW.items() for b in follow)
 # the accepting pass makes its index arrays and per-byte products of labels
 # and literals this many slots or bytes at a time
 _BYTES = 1 << 16
+# by length: a short label's key mask and top byte; a long label's key bit
+_MASK = np.array([(1 << 8 * k) - 1 for k in range(8)], np.uint64)
+_LENGTH = np.array([k << 56 for k in range(8)], np.uint64)
+_LONG = np.uint64(1 << 63)
 # \s and \d know Unicode: a whitespace character that is not ASCII is the
 # error pass's to read
 _WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
@@ -169,18 +178,6 @@ class TreePair:
     @property
     def weighted(self) -> bool:
         return self.w1 is not None
-
-    @property
-    def code_map(self):
-        """Slot i-1: the pre-order index in tree 2 of node i's namesake,
-        or 0 if node i has no label; made from ranks on each call."""
-        if self.mode == "full":
-            return self.ranks
-        leaves1, leaves2 = (np.flatnonzero(subtree_sizes(t.to01()) == 1)
-                            for t in (self.t1, self.t2))
-        code = np.zeros(self.n, np.int32)
-        code[leaves1] = leaves2[self.ranks - 1] + 1
-        return code
 
     @property
     def nbytes(self) -> int:
@@ -498,14 +495,49 @@ def _label_bytes(data, start, length):
     return lb, pos, lead
 
 
+def _words(data, start):
+    """The 8 bytes of data from each start, read as one little-endian
+    uint64; bytes past the text's end read as 0.  start is in text
+    order."""
+    n = data.size
+    # word i is data[i:i + 8]: a strided view over the text
+    rows = np.ndarray((max(n - 7, 0),), "<u8", data, 0, (1,))
+    cut = int(start.searchsorted(rows.size))
+    words = rows[start[:cut]]
+    if cut < start.size:  # the starts within 8 bytes of the end
+        t0 = max(n - 8, 0)
+        tail = np.zeros(16, np.uint8)
+        tail[:n - t0] = data[t0:]
+        tail = np.ndarray((9,), "<u8", tail, 0, (1,))
+        words = np.concatenate((words, tail[start[cut:] - t0]))
+    return words
+
+
 def _labels(data, start, length):
-    """(hashes, lb, pos): every label's hash, made a chunk of labels at a
-    time, and the last chunk's lb and pos (see _label_bytes)."""
-    h = np.empty(length.size, np.uint64)
+    """(keys, long, lb, pos): every label's 64-bit join key, the indexes
+    of the labels of 8 bytes or more, and the last chunk of those labels'
+    lb and pos (see _label_bytes).  A label of at most 7 bytes is its own
+    key, its bytes masked to its length with the length in the top byte,
+    read _BYTES labels at a time; a longer label's key is its hash with
+    bit 63 set, made a chunk of text at a time."""
+    keys = np.empty(length.size, np.uint64)
+    long = np.flatnonzero(length >= 8)
+    short = keys.size if long.size < keys.size else 0  # all long: no reads
+    for lo in range(0, short, _BYTES):
+        k = length[lo:lo + _BYTES]
+        w = _words(data, start[lo:lo + _BYTES])
+        # a long label's length is clipped here, and its key replaced below
+        w &= _MASK.take(k, mode="clip")
+        w |= _LENGTH.take(k, mode="clip")
+        keys[lo:lo + _BYTES] = w
+    start, length = start[long], length[long]
+    lb = pos = None
     for lo, hi in _chunks(start, length):
         lb, pos, lead = _label_bytes(data, start[lo:hi], length[lo:hi])
-        h[lo:hi] = _label_hashes(lb, pos, lead, length[lo:hi])
-    return h, lb, pos
+        h = _label_hashes(lb, pos, lead, length[lo:hi])
+        h |= _LONG
+        keys[long[lo:hi]] = h
+    return keys, long, lb, pos
 
 
 def _node_offset(text, k):
@@ -549,13 +581,15 @@ def parse_pair(text1: str, text2: str, mode: str = "leaf",
 
 def _fast_pair(text1, text2, mode, weighted):
     """(bits1, bits2, ranks, w1, w2) by the accepting pass, or None; the
-    weights are None unless weighted.  Each tree's label hashes are
-    sorted; tree 1's must differ pairwise and tree 2's equal them, which
-    pairs every label with its namesake, and the pairs are then checked
-    byte for byte, a chunk of tree 2's labels at a time.  While tree 2
-    is read, tree 1 holds its bits, its bytes, its label spans, its
-    weights, its sorted hashes with their order and, in full mode only,
-    its labels' nodes."""
+    weights are None unless weighted.  Each tree's label keys (see
+    _labels) are sorted; tree 1's must differ pairwise and tree 2's equal
+    them, which pairs every label with its namesake.  A pair of labels of
+    at most 7 bytes has equal bytes by its keys alone; the pairs of
+    longer labels, whose keys are hashes, are checked for equal length
+    and then byte for byte, a chunk of tree 2's long labels at a time.
+    While tree 2 is read, tree 1 holds its bits, its bytes, its label
+    spans, its weights, its sorted keys with their order and, in full
+    mode only, its labels' nodes."""
     scan = _fast_scan(text1, mode, weighted)
     if scan is None:
         return None
@@ -573,26 +607,32 @@ def _fast_pair(text1, text2, mode, weighted):
         return None
     bits2, data2, start2, len2, at2, w2 = scan
     del scan
-    h2, lb2, pos2 = _labels(data2, start2, len2)
+    h2, long2, lb2, pos2 = _labels(data2, start2, len2)
     o2 = h2.argsort().astype(np.int32)
     if not (h2[o2] == h1).all():
         return None
     del h1, h2
-    # the tree-1 label with each tree-2 label's hash, which must be the
+    # the tree-1 label with each tree-2 label's key, which must be the
     # same bytes
     into = np.empty_like(o2)
     into[o2] = o1
     del o1, o2
     if not (len1[into] == len2).all():
         return None
+    # a short label's key is its bytes: only the long labels are checked
+    start2, len2, into2 = start2[long2], len2[long2], into[long2]
     for lo, hi in _chunks(start2, len2):
         # _labels left the last chunk's bytes, all of them in one chunk
         lb, pos, _ = (lb2, pos2, None) if hi == len2.size else _label_bytes(
             data2, start2[lo:hi], len2[lo:hi])
-        at_byte = start1[into[lo:hi]].repeat(len2[lo:hi])
+        at_byte = start1[into2[lo:hi]].repeat(len2[lo:hi])
         at_byte += pos
         if not (data1.take(at_byte) == lb).all():
             return None
+    # the texts and spans die before the ranks, which outlive the parse, are
+    # made: a block made first can sit above them in the heap and keep
+    # their freed pages resident
+    del data1, data2, start1, start2, len1, len2, into2
     if mode == "leaf":  # labels are leaves, in leaf order in both trees
         ranks = np.empty_like(into)
         ranks[into] = np.arange(1, into.size + 1, dtype=np.int32)

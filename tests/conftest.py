@@ -1,9 +1,11 @@
 """Shared test helpers: plain pointer trees and linear-scan oracles.
 
-Everything here but leaves_under is deliberately naive and independent
-of the package internals, so the real structures can be checked against
-straight-line reference computations.
+Everything here but leaves_under and code_map is deliberately naive and
+independent of the package internals, so the real structures can be
+checked against straight-line reference computations.
 """
+
+import numpy as np
 
 from bprf.bp import subtree_sizes
 
@@ -153,6 +155,20 @@ def leaves_under(tree, p=1):
     i = rank1_scan(bits.tolist(), p) - 1
     size = subtree_sizes(bits)
     return int((size[i:i + size[i]] == 1).sum())
+
+
+def code_map(pair):
+    """A TreePair's join as one int32 slot per tree-1 node: slot i-1 holds
+    the pre-order index in tree 2 of node i's namesake, or 0 if node i
+    has no label.  A full pair's ranks are this map; a leaf pair's are
+    mapped through both trees' leaves, the nodes of size 1."""
+    if pair.mode == "full":
+        return pair.ranks
+    leaves1, leaves2 = (np.flatnonzero(subtree_sizes(t.to01()) == 1)
+                        for t in (pair.t1, pair.t2))
+    code = np.zeros(pair.n, np.int32)
+    code[leaves1] = leaves2[pair.ranks - 1] + 1
+    return code
 
 
 # ----------------------------------------------------------------------

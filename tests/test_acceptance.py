@@ -20,8 +20,8 @@ from bprf.distance import compute, erf, rf_nextsibling, rf_postorder, werf, wrf
 from bprf.newick import parse_pair, parse_tree
 from bprf.treeio import pack, size_report, unpack
 
-from conftest import (leaves_under, preorder, rank1_scan, related_texts,
-                      select_scan)
+from conftest import (code_map, leaves_under, preorder, rank1_scan,
+                      related_texts, select_scan)
 
 T2 = "(((B,C)F,D)G,(A,E)H)I;"
 T3 = "((B,(D,C)F)G,(A,E)H)I;"
@@ -51,7 +51,7 @@ def test_criterion_1_fixture_walkthrough():
         assert erf(pair23).raw == 2
 
         pair45 = parse_pair(T4, T5)
-        code = pair45.code_map.tolist()
+        code = code_map(pair45).tolist()
         assert code == [0, 0, 0, 9, 7, 10, 0, 3, 4, 5]
 
         # clusters {A,B}: T4 indices 4 and 5 map to T5 indices 9 and 7;

@@ -16,7 +16,7 @@ from bprf.baseline import (
 from bprf.distance import rf_nextsibling
 from bprf.newick import LabelMismatchError, parse_pair
 
-from conftest import pair_texts, to_newick
+from conftest import code_map, pair_texts, to_newick
 
 T4 = "(((A,B),C),(D,E,F));"
 T5 = "((D,E,F),(B,(A,C)));"
@@ -117,5 +117,5 @@ def test_parse_plain_reads_every_whitespace(ws):
     # parse_pair; the plain parser once looped forever on \x0b and \x0c
     text = f"{ws}((A,{ws}B),(C,D{ws}){ws},E);{ws}"
     assert to_newick(parse_plain(text)) == "((A,B),(C,D),E);"
-    assert parse_pair(text, text).code_map.tolist() == \
+    assert code_map(parse_pair(text, text)).tolist() == \
         [0, 0, 3, 4, 0, 6, 7, 8]

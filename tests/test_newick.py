@@ -23,6 +23,7 @@ from bprf.cli import generate_pair_texts, generate_tree_text
 
 from conftest import (
     assign_labels,
+    code_map,
     encode_bits,
     preorder,
     random_topology,
@@ -57,8 +58,8 @@ def test_labels_by_preorder_index():
 def test_code_map_frozen():
     pair = parse_pair(T4, T5)
     assert pair.mode == "leaf"
-    assert pair.code_map.dtype == np.int32
-    assert pair.code_map.tolist() == [0, 0, 0, 9, 7, 10, 0, 3, 4, 5]
+    assert code_map(pair).dtype == np.int32
+    assert code_map(pair).tolist() == [0, 0, 0, 9, 7, 10, 0, 3, 4, 5]
     assert pair.n == 10
     assert not pair.weighted
 
@@ -67,10 +68,11 @@ def test_code_map_full_mode():
     pair = parse_pair(T2, T3, mode="full")
     assert pair.mode == "full"
     # every slot is mapped and the mapping preserves labels
-    assert all(pair.code_map > 0)
+    code = code_map(pair)
+    assert all(code > 0)
     labels1, labels2 = parse_tree(T2)[1], parse_tree(T3)[1]
     for i in range(1, pair.n + 1):
-        j = int(pair.code_map[i - 1])
+        j = int(code[i - 1])
         assert labels2.name_of(j) == labels1.name_of(i)
 
 
@@ -262,12 +264,12 @@ def test_pair_retains_few_bits_per_node():
 
 def test_whitespace_tolerated():
     pair = parse_pair(" ( (A , B) ,\n\tC ) ;", "(C,(B,A));")
-    assert pair.code_map.tolist() == [0, 0, 5, 4, 2]
+    assert code_map(pair).tolist() == [0, 0, 5, 4, 2]
     # every character str.isspace accepts is whitespace, ASCII (the
     # accepting pass) or not (the error pass)
     for ws in "\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2003":
         pair = parse_pair(f"({ws}(A,{ws}B),C{ws}){ws};", "(C,(B,A));")
-        assert pair.code_map.tolist() == [0, 0, 5, 4, 2]
+        assert code_map(pair).tolist() == [0, 0, 5, 4, 2]
         with pytest.raises(ParseError) as ei:
             parse_tree(f"(A{ws}B,C);")
         assert ei.value.offset == 3 and "unexpected label" in str(ei.value)
@@ -306,9 +308,10 @@ def test_leaf_join_random(seed, n_leaves):
     pair = parse_pair(text1, text2)
     labels1, labels2 = parse_tree(text1)[1], parse_tree(text2)[1]
 
+    code = code_map(pair)
     nonzero = 0
     for i in range(1, pair.n + 1):
-        j = int(pair.code_map[i - 1])
+        j = int(code[i - 1])
         name = labels1.name_of(i)
         if name is None:
             assert j == 0
@@ -358,8 +361,9 @@ def _outcome(parse, *args, **kw):
         return None if a is None else (a.dtype.str, a.tobytes())
 
     if isinstance(r, TreePair):
+        code = code_map(r)
         return (r.t1.to01().tobytes(), r.t2.to01().tobytes(),
-                r.code_map.dtype.str, r.code_map.tobytes(),
+                code.dtype.str, code.tobytes(),
                 r.ranks.dtype.str, r.ranks.tobytes(), w(r.w1), w(r.w2),
                 r.mode)
     tree, labels, weights = r
@@ -533,7 +537,9 @@ def test_repeated_label_left_to_error_pass(a, b, mode):
 
 
 # ----------------------------------------------------------------------
-# the label join: sorted hashes, then a byte-for-byte check
+# the label join: sorted keys; a label of at most 7 bytes is its own key,
+# a longer one's key is a hash, and the pairs of long labels are then
+# checked byte for byte
 
 
 def _length_hash(lb, pos, lead, length):
@@ -557,8 +563,19 @@ _JOIN_PAIRS = [
     ("(A,B,B);", "(A,B,C);", "leaf"),               # repeated in tree 1
 ]
 
+# the same trees with every label 8 bytes longer, so every label is hashed
+_LONG_PREFIX = "LongName"
 
-@pytest.mark.parametrize("a,b,mode", _JOIN_PAIRS)
+
+def _lengthen(text):
+    return newick._LABEL.sub(lambda mo: _LONG_PREFIX + mo.group(), text)
+
+
+_LONG_JOIN_PAIRS = [(_lengthen(a), _lengthen(b), mode)
+                    for a, b, mode in _JOIN_PAIRS]
+
+
+@pytest.mark.parametrize("a,b,mode", _JOIN_PAIRS + _LONG_JOIN_PAIRS)
 def test_join_edge_cases(a, b, mode):
     fast, slow = _both_passes(parse_pair, a, b, mode=mode)
     assert fast == slow
@@ -566,15 +583,18 @@ def test_join_edge_cases(a, b, mode):
         assert set(newick._LABEL.findall(a)) != set(newick._LABEL.findall(b))
 
 
-@pytest.mark.parametrize("a,b,mode", _JOIN_PAIRS)
+@pytest.mark.parametrize("a,b,mode", _JOIN_PAIRS + _LONG_JOIN_PAIRS)
 def test_hash_collision_sent_to_error_pass(a, b, mode):
     _check_collision(a, b, mode)
 
 
 def _check_collision(a, b, mode):
-    # with every two labels of a length colliding, the answer is the
-    # same: a collision costs time, never a wrong join
+    # with every two long labels of a length colliding, the answer is the
+    # same: a collision costs time, never a wrong join.  Short labels are
+    # not hashed, so only two long labels of one length in tree 1 send a
+    # pair that the accepting pass takes to the error pass
     want = _outcome(parse_pair, a, b, mode=mode)
+    accepted = newick._fast_pair(a, b, mode, False) is not None
     calls = []
     checked = newick._checked_pair
     with pytest.MonkeyPatch.context() as m:
@@ -582,9 +602,10 @@ def _check_collision(a, b, mode):
         m.setattr(newick, "_checked_pair",
                   lambda *args: calls.append(1) or checked(*args))
         assert _outcome(parse_pair, a, b, mode=mode) == want
-    lengths = [len(s.encode()) for s in newick._LABEL.findall(a)]
-    if len(set(lengths)) < len(lengths):
-        assert calls  # the collision gave the pair to the error pass
+    lengths = [k for k in map(len, map(str.encode, newick._LABEL.findall(a)))
+               if k >= 8]
+    collide = len(set(lengths)) < len(lengths)
+    assert bool(calls) == (collide or not accepted)
 
 
 def test_hash_collision_on_generated_pairs():
@@ -594,9 +615,12 @@ def test_hash_collision_on_generated_pairs():
 def _check_collision_generated():
     for full, weights in ((False, False), (True, True)):
         mode = "full" if full else "leaf"
-        a, b = generate_pair_texts(300, 5, "random", full, weights)
+        a, b = (t.replace("L", _LONG_PREFIX).replace("I", "Internal")
+                for t in generate_pair_texts(300, 5, "random", full,
+                                             weights))
         want = _outcome(parse_pair, a, b, mode=mode, weighted=weights)
         assert not isinstance(want[0], type)
+        assert newick._fast_pair(a, b, mode, weights) is not None
         with pytest.MonkeyPatch.context() as m:
             m.setattr(newick, "_label_hashes", _length_hash)
             assert newick._fast_pair(a, b, mode, weights) is None
@@ -618,7 +642,7 @@ def test_long_labels_join():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(newick, "_scan", None)  # the accepting pass only
         pair = parse_pair(a, b)
-    assert np.count_nonzero(pair.code_map) == len(names)
+    assert np.count_nonzero(code_map(pair)) == len(names)
     fast, slow = _both_passes(parse_pair, a, b)
     assert fast == slow
     # the two long labels swapped in tree 2, and one of them changed in
@@ -672,15 +696,15 @@ def test_chunk_edges_on_mutants(size, monkeypatch):
 @pytest.mark.parametrize("size", _CHUNK_SIZES)
 def test_chunk_edges_hash_collision(size, monkeypatch):
     monkeypatch.setattr(newick, "_BYTES", size)
-    for a, b, mode in _JOIN_PAIRS:
+    for a, b, mode in _JOIN_PAIRS + _LONG_JOIN_PAIRS:
         _check_collision(a, b, mode)
     _check_collision_generated()
-    # labels of twelve lengths, 78 bytes: tree 2's last label in text
-    # order, in the last chunk, has its namesake's length and hash but
-    # not its bytes
+    # labels of twelve lengths, 78 bytes: tree 2's last long label in
+    # text order, in the last chunk of long labels, has its namesake's
+    # length and hash but not its bytes
     a = _named_tree(random.Random(size), [chr(64 + k) * k
                                           for k in range(1, 13)])
-    last = newick._LABEL.findall(a)[-1]
+    last = [s for s in newick._LABEL.findall(a) if len(s) >= 8][-1]
     b = a.replace(last, "z" * len(last))
     assert _outcome(parse_pair, a, b)[0] is LabelMismatchError
     _check_collision(a, b, "leaf")
@@ -757,3 +781,103 @@ def test_chunks_cover_spans_in_order(size, spans):
         assert text <= size or hi == lo + 1
         if hi < length.size:
             assert int(start[hi] + length[hi] - start[lo]) > size
+
+
+# ----------------------------------------------------------------------
+# labels at the short keys' edges: 7 and 8 bytes, a 2-byte character
+# across that edge, a NUL at the end of a 7-byte label, a short label
+# that ends at the text's ';', texts shorter than one key, and short and
+# long labels in one pair
+_KEY_PAIRS = [
+    ("(ABCDEé,(ABCDEFé,C));", "(ABCDEFé,(C,ABCDEé));", "leaf"),
+    ("(ABCDEé,C);", "(ABCDEFé,C);", "leaf"),
+    ("(ABCDEé,C);", "(ABCDEè,C);", "leaf"),
+    ("(ABCDEFé,C);", "(ABCDEFè,C);", "leaf"),
+    ("(ABCDEFG,(ABCDEFGH,C));", "((C,ABCDEFGH),ABCDEFG);", "leaf"),
+    ("(ABCDEFG,C);", "(ABCDEFH,C);", "leaf"),
+    ("(ABCDEFGH,C);", "(ABCDEFGI,C);", "leaf"),
+    ("(ABCDEF,C);", "(ABCDEF\x00,C);", "leaf"),
+    ("(ABCDEF\x00,C);", "(ABCDEF,C);", "leaf"),
+    ("(ABCDEF,(ABCDEF\x00,C));", "((ABCDEF\x00,ABCDEF),C);", "leaf"),
+    ("(ABCDEF,ABCDEF\x00,ABCDEF);", "(ABCDEF,(ABCDEF\x00,C));", "leaf"),
+    ("((A,B)X,(C,D)Y)ROOT;", "((A,C)X,(B,D)Y)ROOT;", "full"),
+    ("((A,B)X,(C,D)Y)ROOT;", "((A,C)X,(B,D)Y)ROOU;", "full"),
+    ("((A,B)X,(C,D)Y)ROOTÉ;", "((A,C)X,(B,D)Y)ROOTÉ;", "full"),
+    ("((A,B)X,(C,D)Y)ROOTÉ;", "((A,C)X,(B,D)Y)ROOTÈ;", "full"),
+    ("((A,B)X,C)LongRoot;", "((A,C)X,B)LongRoot;", "full"),
+    ("(A,B)R;", "(B,A)R;", "full"),
+    ("(A,B)R;", "(B,A)S;", "full"),
+    ("(A,B);", "(B,A);", "leaf"),
+    ("(A,B);", "(B,\x00);", "leaf"),
+    ("(A,\x00);", "(\x00,A);", "leaf"),
+    ("(A, B);\n", "(B,A); ", "leaf"),
+    ("(short,(LongLabel1,(x,LongLabel2)));",
+     "((LongLabel2,short),(x,LongLabel1));", "leaf"),
+    ("(short,(LongLabel1,(x,LongLabel2)));",
+     "((LongLabel2,short),(y,LongLabel1));", "leaf"),
+    ("(short,(LongLabel1,(x,LongLabel2)));",
+     "((LongLabel2,short),(x,LongLabel3));", "leaf"),
+    ("(short,(LongLabel1,(x,LongLabel2)));",
+     "((LongLabel2,short),(x,LongLabel2));", "leaf"),
+    ("((short,LongLabel1)I,(x,y)LongInner)R;",
+     "((x,LongLabel1)I,(short,y)LongInner)R;", "full"),
+]
+
+
+@pytest.mark.parametrize("size", (newick._BYTES,) + _CHUNK_SIZES)
+@pytest.mark.parametrize("a,b,mode", _KEY_PAIRS)
+def test_short_label_keys(a, b, mode, size, monkeypatch):
+    monkeypatch.setattr(newick, "_BYTES", size)
+    fast, slow = _both_passes(parse_pair, a, b, mode=mode)
+    assert fast == slow
+    # a pair both passes accept is accepted by the accepting pass
+    assert (newick._fast_pair(a, b, mode, False) is None) == \
+        isinstance(slow[0], type)
+
+
+def test_short_label_keys_exact():
+    # the key of a label of at most 7 bytes is its bytes and its length
+    text = "(ABCDEé,ABCDEF\x00,ABCDEF,A,LongLabel);"
+    bits, data, start, length, at, w = newick._fast_scan(text)
+    keys, long, lb, pos = newick._labels(data, start, length)
+    for key, name in zip(keys[:4].tolist(), newick._LABEL.findall(text)):
+        raw = name.encode()
+        assert key == int.from_bytes(raw, "little") | len(raw) << 56
+    assert long.tolist() == [4]
+    assert keys[4] >> 63 == 1
+    assert lb.tobytes() == b"LongLabel"
+
+
+# the characters of the random labels: ASCII label bytes, NUL and other
+# controls that are not whitespace, and characters of 2, 3 and 4 UTF-8
+# bytes, whose bytes are all 0x80 or more
+_LABEL_ALPHABET = "ABab09_-.\x00\x01\x7f\xe9\xe8\xffλ木\U0001f332"
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_CHUNK_SIZES), st.integers(0, 2**32 - 1),
+       st.lists(st.text(_LABEL_ALPHABET, min_size=1, max_size=12).filter(
+           lambda s: len(s.encode()) <= 12), min_size=1, max_size=12,
+           unique=True),
+       st.integers(0, 3))
+def test_label_keys_match_error_pass(size, seed, names, change):
+    # two trees over random labels of 1 to 12 bytes; tree 2 has, by
+    # change, its labels as they are, one label made another's bytes
+    # (which repeats it), one label cut to its first character, or one
+    # label with a NUL appended
+    rng = random.Random(seed)
+    other = list(names)
+    k = rng.randrange(len(other))
+    if change == 1:
+        other[k] = rng.choice(names)
+    elif change == 2:
+        other[k] = other[k][0]
+    elif change == 3:
+        other[k] += "\x00"
+    a, b = _named_tree(rng, names), _named_tree(rng, other)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newick, "_BYTES", size)
+        fast, slow = _both_passes(parse_pair, a, b)
+        assert fast == slow
+        assert (newick._fast_pair(a, b, "leaf", False) is None) == \
+            isinstance(slow[0], type)
