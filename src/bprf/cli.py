@@ -173,7 +173,9 @@ def cmd_dist(args):
     if args.stats:
         print(f"stats: read_s={t1 - t0:.6f} parse_s={t2 - t1:.6f} "
               f"distance_s={t3 - t2:.6f} candidates={result.ops.total()} "
-              f"held_bytes={pair.nbytes}", file=sys.stderr)
+              f"held_bytes={pair.nbytes} "
+              f"declared_bits={size_report(pair).total_bits}",
+              file=sys.stderr)
     return 0
 
 
@@ -237,7 +239,8 @@ def build_parser():
                         "cluster")
     d.add_argument("--stats", action="store_true",
                    help="one line on stderr: read, parse and distance "
-                        "seconds, candidates and the pair's bytes held")
+                        "seconds, candidates, the pair's bytes held and "
+                        "its declared bits")
     d.set_defaults(func=cmd_dist)
 
     g = sub.add_parser("gen", help="random newick tree on stdout")

@@ -5,8 +5,9 @@ Whether a cluster is shared is decided by the interval test of Day's
 algorithm (W. H. E. Day, J. Classification 2, 1985).  Every element of a
 cluster gets a rank in tree 2: in leaf mode a leaf's rank among tree 2's
 leaves, in fully-labelled mode a node's tree-2 pre-order index.  The
-pair holds them (TreePair.ranks), per tree-1 leaf in leaf order or per
-node.  A cluster of tree 2 is then a contiguous range of ranks.
+pair holds them bit-packed, per tree-1 leaf in leaf order or per node,
+and each call unpacks them once (TreePair.ranks).  A cluster of tree 2
+is then a contiguous range of ranks.
 
 Nothing is walked node by node.  One stable sort pairs each tree's
 opening bits with their closing bits (bp.subtree_sizes), which gives
@@ -133,12 +134,13 @@ def _extremes(vals, lo, hi):
     slot i holds the extremes of the 2**t values from i on.  A range
     whose length lies in [2**t, 2**(t+1)) is covered by two level-t
     windows, one from each end, so its queries are answered before level
-    t + 1 overwrites level t.  Two tables of len(vals) slots are held."""
+    t + 1 overwrites level t.  Two tables of len(vals) slots are held;
+    vals itself is the table of least values, and is overwritten."""
     level = np.frexp(hi - lo + 1)[1] - 1
     by = level.astype(np.int8).argsort(kind="stable")
     least = np.empty(lo.size, vals.dtype)
     most = np.empty(lo.size, vals.dtype)
-    mn = vals.copy()
+    mn = vals
     mx = vals.copy()
     start = 0
     for t, count in enumerate(np.bincount(level).tolist()):
@@ -162,7 +164,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
         raise ValueError(f"unknown implementation {impl!r}")
     mode, weighted = METRICS[metric]
     extended = mode == "full"
-    ranks = pair.ranks
+    ranks = pair.ranks  # unpacked anew on every read, so read once
 
     # leaf1 and leaf2 mark the leaves by pre-order index; a leaf is an
     # opening bit that a closing bit follows, or a node of size 1
@@ -189,7 +191,10 @@ def _sweep(pair: TreePair, metric: str, impl: str,
         np.add.accumulate(leaf1, dtype=np.int32, out=before[1:])
         lo, hi = before[inner], before[end] - 1
         del before
+        if weighted:  # each leaf's image is the tree-2 leaf of its rank
+            lj = ranks - 1
     least, most = _extremes(ranks, lo, hi)
+    del ranks  # _extremes overwrote it
     # the ranks are contiguous: a tree-2 cluster if one node spans them
     cand = np.flatnonzero(most - least == hi - lo)
     inner, end, width = inner[cand], end[cand], (hi - lo)[cand]
@@ -223,8 +228,8 @@ def _sweep(pair: TreePair, metric: str, impl: str,
     probes = inner.size
     ops = OpCounts(cluster_size=probes) if extended else OpCounts(lca=probes)
     if weighted:
-        if not extended:  # every leaf's image is the leaf of its rank
-            lj, leaf_image = np.flatnonzero(leaf2)[ranks - 1], slice(None)
+        if not extended:
+            lj, leaf_image = np.flatnonzero(leaf2)[lj], slice(None)
         lp = np.flatnonzero(leaf1)[leaf_image]
         a = pair.w1[np.concatenate([lp, ps - 1])]
         b = pair.w2[np.concatenate([lj[leaf_image], js - 1])]
@@ -241,7 +246,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
             raw = _fraction_sum(terms())
         halved = None
     else:
-        shared = (int(leaf_image.sum()) if extended else ranks.size) + ps.size
+        shared = int(leaf_image.sum() if extended else pair.n_slots) + ps.size
         raw = pair.t1.n_nodes + pair.t2.n_nodes - 2 * shared
         halved = raw / 2
     common = None

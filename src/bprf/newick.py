@@ -5,8 +5,8 @@ opening bit, every leaf an open-close pair, every ')' a closing bit.
 Weights land in pre-order slots (slot i-1 for node i), and each label
 maps to its node's pre-order index, so nothing pointer shaped is ever
 built.  A parsed pair keeps no names: it holds the two encodings, the
-ranks and the weights.  parse_tree keeps the names as a LabelTable
-for write_newick and pack.
+bit-packed ranks and the weights.  parse_tree keeps the names as a
+LabelTable for write_newick and pack.
 
 Each text is read by one of two passes.  The accepting pass,
 _fast_scan, works on the text's bytes with numpy: a class table finds
@@ -105,6 +105,8 @@ _PAIRS = bytes(8 * a + b for a, follow in _FOLLOW.items() for b in follow)
 # the accepting pass makes its index arrays and per-byte products of labels
 # and literals this many slots or bytes at a time
 _BYTES = 1 << 16
+# ranks packed or unpacked at once; a multiple of 8, so chunks start on bytes
+_SLOTS = 1 << 13
 # by length: a short label's key mask and top byte; a long label's key bit
 _MASK = np.array([(1 << 8 * k) - 1 for k in range(8)], np.uint64)
 _LENGTH = np.array([k << 56 for k in range(8)], np.uint64)
@@ -152,24 +154,37 @@ class LabelTable:
 
 
 class TreePair:
-    """Two parsed trees joined by the int32 array ranks.
+    """Two parsed trees joined by ranks, held bit-packed.
 
     In leaf mode ranks has one slot per leaf of tree 1, in leaf order:
     slot k holds the rank among tree 2's leaves, from 1, of the namesake
     of tree 1's leaf k.  In full mode it has one slot per node: slot i-1
     holds the pre-order index in tree 2 of node i's namesake, and both
     trees have n nodes.  In leaf mode n is the node count of tree 1.
+    The pair holds the n_slots ranks rank_width bits each, rank_width
+    being the bit length of the greatest, in rank_bytes (see _pack);
+    reading ranks unpacks them into a new int32 array each time.
     """
 
-    __slots__ = ("t1", "t2", "ranks", "w1", "w2", "mode")
+    __slots__ = ("t1", "t2", "rank_bytes", "rank_width", "n_slots", "w1",
+                 "w2", "mode")
 
     def __init__(self, t1, t2, ranks, w1, w2, mode):
+        top = int(ranks.max(initial=0))
+        if ranks.min(initial=0) < 0 or top >> 31:
+            raise ValueError("ranks must lie in [0, 2**31)")
         self.t1 = t1
         self.t2 = t2
-        self.ranks = ranks
+        self.rank_width = max(1, top.bit_length())
+        self.n_slots = ranks.size
+        self.rank_bytes = _pack(ranks, self.rank_width)
         self.w1 = w1
         self.w2 = w2
         self.mode = mode
+
+    @property
+    def ranks(self):
+        return _unpack(self.rank_bytes, self.rank_width, self.n_slots)
 
     @property
     def n(self) -> int:
@@ -181,9 +196,48 @@ class TreePair:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: both bit payloads, the ranks and any weights."""
-        return sum(len(t.packed_bytes) for t in (self.t1, self.t2)) + sum(
-            a.nbytes for a in (self.ranks, self.w1, self.w2) if a is not None)
+        """Bytes held: both bit payloads, the packed ranks, exactly
+        ceil(rank_width * n_slots / 8) bytes, and any weights."""
+        return len(self.t1.packed_bytes) + len(self.t2.packed_bytes) + len(
+            self.rank_bytes) + sum(a.nbytes for a in (self.w1, self.w2)
+                                   if a is not None)
+
+
+def _pack(ranks, width):
+    """Non-negative ints below 2**width as a little-endian bit stream in a
+    read-only uint8 array of exactly ceil(width * ranks.size / 8) bytes:
+    slot k is bits k * width on, least significant first.  Made _SLOTS
+    ranks at a time."""
+    out = np.empty((ranks.size * width + 7) >> 3, np.uint8)
+    for lo in range(0, ranks.size, _SLOTS):
+        part = ranks[lo:lo + _SLOTS].astype("<u4").view(np.uint8)
+        bits = np.unpackbits(part.reshape(-1, 4), axis=1, count=width,
+                             bitorder="little")
+        part = np.packbits(bits, bitorder="little")
+        out[lo * width >> 3:][:part.size] = part
+    out.flags.writeable = False
+    return out
+
+
+def _unpack(data, width, count):
+    """The count ints that _pack wrote into data, as a new int32 array,
+    _SLOTS at a time: slot k is the word at byte k * width >> 3 of a copy
+    of its chunk's bytes, shifted and masked.  8 bytes more keep the last
+    words in bounds; the mask drops whatever they hold.  take copies the
+    chunk's unaligned words aligned first, and is still faster than
+    indexing them."""
+    out = np.empty(count, np.int32)
+    pos = np.arange(0, min(count, _SLOTS) * width, width, dtype=np.int64)
+    at, shift = pos >> 3, pos.view(np.uint64) & np.uint64(7)
+    for lo in range(0, count, _SLOTS):
+        k = min(count - lo, _SLOTS)
+        size = (k * width + 7) >> 3
+        buf = np.empty(size + 8, np.uint8)
+        buf[:size] = data[lo * width >> 3:][:size]
+        words = np.ndarray((size + 1,), "<u8", buf, 0, (1,)).take(at[:k])
+        words >>= shift[:k]
+        out[lo:lo + k] = words & np.uint64((1 << width) - 1)
+    return out
 
 
 def _scan(text, tree_index):
@@ -629,9 +683,9 @@ def _fast_pair(text1, text2, mode, weighted):
         at_byte += pos
         if not (data1.take(at_byte) == lb).all():
             return None
-    # the texts and spans die before the ranks, which outlive the parse, are
-    # made: a block made first can sit above them in the heap and keep
-    # their freed pages resident
+    # the texts and spans die before the ranks, whose packed copy outlives
+    # the parse, are made: a block made first can sit above them in the
+    # heap and keep their freed pages resident
     del data1, data2, start1, start2, len1, len2, into2
     if mode == "leaf":  # labels are leaves, in leaf order in both trees
         ranks = np.empty_like(into)

@@ -186,13 +186,15 @@ def unpack(data: bytes):
 
 @dataclass(frozen=True)
 class SizeReport:
-    """Bits held per pair component, next to the interval-table figure a
-    pointer-based comparison would need for the same node count."""
+    """Bits declared per pair component, next to the interval-table figure
+    a pointer-based comparison would need for the same node count, and
+    the bits measured as held."""
 
     bp_bits: int
     map_bits: int
     total_bits: int
     comparison_bits_day: int
+    held_bits: int
 
     def __str__(self):
         return "\n".join(f"{f.name} {getattr(self, f.name)}"
@@ -200,9 +202,17 @@ class SizeReport:
 
 
 def size_report(pair) -> SizeReport:
-    """A TreePair's tree 1 and the 32-bit ranks it holds, one per leaf in
-    leaf mode and per node in full mode; a lone BpTree (bprf pack
-    --report) counts one slot per node, exactly 34n bits."""
-    n = pair.n if isinstance(pair, TreePair) else pair.n_nodes
-    slots = pair.ranks.size if isinstance(pair, TreePair) else n
-    return SizeReport(2 * n, 32 * slots, 2 * n + 32 * slots, 192 * n - 64)
+    """Declared: a TreePair's tree 1 and its ranks at the width they are
+    packed at, one slot per leaf in leaf mode and per node in full mode.
+    A lone BpTree (bprf pack --report) is declared as a full pair of it
+    would be: n slots of n.bit_length() bits.  held_bits is 8 times the
+    bytes held, TreePair.nbytes for a pair, and the packed bits for a
+    lone tree."""
+    if isinstance(pair, TreePair):
+        n, held = pair.n, pair.nbytes
+        map_bits = pair.rank_width * pair.n_slots
+    else:
+        n, held = pair.n_nodes, len(pair.packed_bytes)
+        map_bits = n * n.bit_length()
+    return SizeReport(2 * n, map_bits, 2 * n + map_bits, 192 * n - 64,
+                      8 * held)

@@ -161,8 +161,10 @@ def _ternary_caterpillar(n_leaves, reverse=False):
 
 
 def test_criterion_4_space_accounting():
-    with criterion(4, "size report at 10^5 nodes: exactly 2n + 32 per "
-                      "leaf, 192n-64 baseline, ceil(2n/8) packed bytes"):
+    with criterion(4, "size report at 10^5 nodes: exactly 2n + 16 per "
+                      "leaf (ranks packed at ceil(log2(L+1)) bits), held "
+                      "bits = declared + tree 2's payload + byte rounding, "
+                      "192n-64 baseline, ceil(2n/8) packed bytes"):
         leaves = 50_001
         a = _ternary_caterpillar(leaves)
         b = _ternary_caterpillar(leaves, reverse=True)
@@ -170,10 +172,18 @@ def test_criterion_4_space_accounting():
         n = pair.n
         assert n == 100_000
 
+        # ranks up to 50,001 need 16 bits each
         rep = size_report(pair)
-        assert rep.bp_bits + rep.map_bits == 2 * n + 32 * leaves
-        assert rep.total_bits == 2 * n + 32 * leaves
+        assert pair.rank_width == leaves.bit_length() == 16
+        assert rep.bp_bits + rep.map_bits == 2 * n + 16 * leaves
+        assert rep.total_bits == 2 * n + 16 * leaves
         assert rep.comparison_bits_day == 192 * n - 64
+        # held: both 2n-bit payloads, which fill whole bytes, and the
+        # 16-bit ranks, which do too
+        assert rep.held_bits == 8 * pair.nbytes == 4 * n + 16 * leaves
+        assert rep.held_bits - rep.total_bits == \
+            8 * len(pair.t2.packed_bytes) + -rep.bp_bits % 8 \
+            + -rep.map_bits % 8
 
         # the bit-vector section is exactly ceil(2n/8) bytes: the label
         # block starts right after it, and unpack reads the blob to its end

@@ -194,15 +194,18 @@ def test_dist_stats(nwk):
     f2, f3 = nwk("f2", T2), nwk("f3", T3)
     line = re.compile(r"stats: read_s=\d+\.\d{6} parse_s=\d+\.\d{6} "
                       r"distance_s=\d+\.\d{6} candidates=(\d+) "
-                      r"held_bytes=(\d+)\n\Z")
-    # held_bytes: two 3-byte payloads and an int32 rank per leaf (T4, T5)
-    # or per node (T2, T3)
-    for argv, candidates, held in (
-            ((a, b), compute(parse_pair(T4, T5), "rf").ops.total(), 30),
-            ((a, b, "--emit-common", "--raw"), None, 30),
+                      r"held_bytes=(\d+) declared_bits=(\d+)\n\Z")
+    # held_bytes: two 3-byte payloads and the ranks in ceil(b * slots / 8)
+    # bytes: T4/T5 pack 6 leaf ranks up to 6 at b = 3, ceil(18 / 8) = 3,
+    # so 3 + 3 + 3 = 9; T2/T3 pack 9 node ranks up to 9 at b = 4,
+    # ceil(36 / 8) = 5, so 3 + 3 + 5 = 11.  declared_bits: tree 1's 2n
+    # bits and b * slots, 20 + 18 = 38 and 18 + 36 = 54
+    for argv, candidates, held, declared in (
+            ((a, b), compute(parse_pair(T4, T5), "rf").ops.total(), 9, 38),
+            ((a, b, "--emit-common", "--raw"), None, 9, 38),
             ((f2, f3, "--metric", "erf"),
-             compute(parse_pair(T2, T3, "full"), "erf").ops.total(), 42),
-            ((a, b, "--algo", "day"), 0, 30)):
+             compute(parse_pair(T2, T3, "full"), "erf").ops.total(), 11, 54),
+            ((a, b, "--algo", "day"), 0, 9, 38)):
         plain = run_cli("dist", *argv)
         stats = run_cli("dist", *argv, "--stats")
         assert (stats.returncode, stats.stdout) == (0, plain.stdout)
@@ -212,6 +215,7 @@ def test_dist_stats(nwk):
         if candidates is not None:
             assert int(m.group(1)) == candidates
         assert int(m.group(2)) == held
+        assert int(m.group(3)) == declared
     for argv, code in (((a, nwk("bad", "((A,B);")), 2),
                        ((a, nwk("c", "(A,B);")), 4),
                        ((a, a, "--metric", "erf"), 3)):
@@ -313,9 +317,11 @@ def test_pack_report_matches_library(nwk):
     src = nwk("a", T4)
     r = run_cli("pack", src, "/dev/null", "--report")
     assert r.returncode == 0
-    # a lone tree is reported with one 32-bit slot per node: 34n bits
+    # a lone tree is declared with one slot of n.bit_length() bits per
+    # node, 10 * (2 + 4) bits, and holds its ceil(20 / 8)-byte payload
     assert r.stdout.strip() == str(size_report(parse_tree(T4)[0]))
-    assert "total_bits 340\n" in r.stdout
+    assert "total_bits 60\n" in r.stdout
+    assert r.stdout.endswith("held_bits 24\n")
 
 
 def test_pack_report_partial_labels(nwk, tmp_path):

@@ -83,8 +83,10 @@ def test_weights_and_sum():
     assert pair.w2.tolist() == expect
     assert math.fsum(pair.w1) + math.fsum(pair.w2) == \
         pytest.approx(6.8, abs=1e-12)
-    # two 3-byte payloads, nine int32 ranks and two weight vectors
-    assert pair.nbytes == 3 + 3 + 9 * 4 + 2 * 9 * 8
+    # two 3-byte payloads, nine ranks up to 9 packed at 4 bits in
+    # ceil(36 / 8) = 5 bytes, and two weight vectors
+    assert (pair.rank_width, pair.n_slots) == (4, 9)
+    assert pair.nbytes == 3 + 3 + 5 + 2 * 9 * 8
 
 
 def test_weights_sum_against_char_scan():
@@ -243,14 +245,13 @@ def test_write_newick_fixed():
 
 
 def test_pair_retains_few_bits_per_node():
-    # the pair keeps two encodings, the ranks and the weights; the label
-    # bytes and the join arrays die inside parse_pair.  A leaf pair holds
-    # one int32 rank per leaf, about 20.7 bits/node at 10k leaves, so a
-    # map slot per node (32 bits more) fails the bound.  A full weighted
-    # pair holds a rank per node and two float64 weight vectors, about
-    # 165; the margin is under the 18 or more that a rank directory held
-    # as Python ints would add
-    for full, bound in ((False, 26), (True, 176)):
+    # the pair keeps two encodings, the packed ranks and the weights; the
+    # label bytes and the join arrays die inside parse_pair.  A leaf pair
+    # packs one 14-bit rank per leaf, about 12.3 bits/node at 10k leaves,
+    # so int32 ranks (8 bits/node more) fail the bound.  A full weighted
+    # pair packs a 15-bit rank per node and holds two float64 weight
+    # vectors, about 148.0; int32 ranks (17 more) fail its bound too
+    for full, bound in ((False, 13), (True, 149)):
         a, b = generate_pair_texts(10_000, 3, full=full, weights=full)
         tracemalloc.start()
         try:
@@ -259,6 +260,7 @@ def test_pair_retains_few_bits_per_node():
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        assert pair.rank_width == (15 if full else 14)
         assert held * 8 / pair.n < bound
 
 
@@ -344,6 +346,53 @@ def test_leaf_ranks_random(seed, n_leaves):
         assert [names2[r - 1] for r in ranks.tolist()] == names1
 
 
+_SLOT_EDGES = [1, 7, 8, 9, newick._SLOTS - 1, newick._SLOTS,
+               newick._SLOTS + 1, 2 * newick._SLOTS + 3]
+
+
+def _bit_stream(values, width):
+    """values as a little-endian stream of width-bit slots, by Python
+    ints: the reference for _pack."""
+    bits = "".join(format(v, f"0{width}b")[::-1] for v in values)
+    return int(bits[::-1] or "0", 2).to_bytes((len(bits) + 7) // 8, "little")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 31), st.sampled_from(_SLOT_EDGES),
+       st.integers(0, 2**32 - 1))
+def test_pack_roundtrip(width, count, seed):
+    # slots on both sides of every chunk edge, each value in [0, 2**width),
+    # with 0 and 2**width - 1 among them
+    rng = np.random.default_rng(seed)
+    top = (1 << width) - 1
+    values = rng.integers(0, top, count, endpoint=True).astype(np.int32)
+    values[rng.integers(0, count, 2)] = (0, top)
+    data = newick._pack(values, width)
+    assert data.dtype == np.uint8 and not data.flags.writeable
+    assert data.tobytes() == _bit_stream(values.tolist(), width)
+    assert len(data) == (width * count + 7) // 8
+    got = newick._unpack(data, width, count)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, values)
+
+
+@pytest.mark.parametrize("top", (0, 1, 2, 6, 255, 256, 2**31 - 1))
+def test_pair_packs_ranks_at_their_bit_length(top):
+    tree = parse_tree(T4)[0]
+    ranks = np.array([top, 0, top // 2], np.int32)
+    pair = TreePair(tree, tree, ranks, None, None, "leaf")
+    width = max(1, top.bit_length())
+    assert (pair.rank_width, pair.n_slots) == (width, 3)
+    assert len(pair.rank_bytes) == (3 * width + 7) // 8
+    assert pair.nbytes == 3 + 3 + len(pair.rank_bytes)
+    # every read is a new array
+    assert np.array_equal(pair.ranks, ranks)
+    assert pair.ranks is not pair.ranks
+    for bad in ranks - top - 1, ranks.astype(np.int64) + 2**31 - top:
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\*\*31\)"):
+            TreePair(tree, tree, bad, None, None, "leaf")
+
+
 # ----------------------------------------------------------------------
 # the accepting pass against the error pass
 
@@ -364,8 +413,8 @@ def _outcome(parse, *args, **kw):
         code = code_map(r)
         return (r.t1.to01().tobytes(), r.t2.to01().tobytes(),
                 code.dtype.str, code.tobytes(),
-                r.ranks.dtype.str, r.ranks.tobytes(), w(r.w1), w(r.w2),
-                r.mode)
+                r.ranks.dtype.str, r.ranks.tobytes(), r.rank_width,
+                r.rank_bytes.tobytes(), r.nbytes, w(r.w1), w(r.w2), r.mode)
     tree, labels, weights = r
     return tree.to01().tobytes(), tuple(labels._names), w(weights)
 

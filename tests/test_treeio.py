@@ -2,6 +2,7 @@
 
 import random
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,18 +228,42 @@ def test_unpack_rejects_bad_label_block():
             unpack(pack(tree, LabelTable(names)))
 
 
+def _rounding(bits):
+    """Bits that rounding a bits-long payload up to whole bytes adds."""
+    return -bits % 8
+
+
+def _assert_held(pair, rep):
+    # an unweighted pair holds the declared bits, tree 2's payload and
+    # the byte rounding of tree 1's payload and of the packed ranks
+    assert rep.held_bits == 8 * pair.nbytes
+    assert rep.held_bits - rep.total_bits == (
+        8 * len(pair.t2.packed_bytes) + _rounding(rep.bp_bits)
+        + _rounding(rep.map_bits))
+
+
 def test_size_report_frozen():
     pair = parse_pair(T4, "((D,E,F),(B,(A,C)));")
     rep = size_report(pair)
     assert rep.bp_bits == 20
-    assert rep.map_bits == 192  # six leaves, one 32-bit rank each
+    assert rep.map_bits == 18  # six leaves, ranks up to 6 in 3 bits each
     assert rep.comparison_bits_day == 1856
-    assert rep.total_bits == 2 * pair.n + 32 * 6 == 212
+    assert rep.total_bits == 2 * pair.n + 3 * 6 == 38
+    # two 3-byte payloads and ceil(18 / 8) = 3 bytes of ranks
+    assert rep.held_bits == 8 * (3 + 3 + 3) == 72
+    _assert_held(pair, rep)
     assert str(rep).splitlines()[0] == "bp_bits 20"
-    # a full pair holds a rank per node; a lone tree is reported so too
+    assert str(rep).splitlines()[-1] == "held_bits 72"
+    # a full pair holds a rank per node, each in n.bit_length() bits; a
+    # lone tree is declared so too, and holds only its own payload
     pair = parse_pair(T2, T2, mode="full")
-    assert size_report(pair).total_bits == 34 * pair.n == 306
-    assert size_report(pair.t1) == size_report(pair)
+    rep = size_report(pair)
+    assert rep.total_bits == 2 * pair.n + 4 * pair.n == 54
+    assert rep.held_bits == 8 * (3 + 3 + 5)
+    _assert_held(pair, rep)
+    lone = size_report(pair.t1)
+    assert lone.held_bits == 8 * len(pair.t1.packed_bytes) == 24
+    assert replace(lone, held_bits=rep.held_bits) == rep
 
 
 def _spine_pair(n_nodes):
@@ -249,18 +274,25 @@ def _spine_pair(n_nodes):
                     None, None, "leaf")
 
 
-def test_size_report_is_34n_on_large_pairs():
-    # 2 bits of parentheses per node and 32 per rank held, one rank per
-    # leaf in leaf mode, and nothing besides
+def test_size_report_on_large_pairs():
+    # 2 bits of parentheses per node and, in leaf mode, one rank per leaf
+    # at the bit length of the leaf count, and nothing besides
     for n in (10**3, 10**6):
-        assert size_report(_spine_pair(n)).total_bits == 2 * n + 32
-    # a random 100k-leaf pair, as the benchmark parses
+        pair = _spine_pair(n)
+        rep = size_report(pair)
+        assert rep.total_bits == 2 * n + 1
+        _assert_held(pair, rep)
+    # a random 100k-leaf pair, as the benchmark parses: 17-bit ranks
     pair = parse_pair(*generate_pair_texts(100_000, 1))
-    assert size_report(pair).total_bits == 2 * pair.n + 32 * 100_000
+    rep = size_report(pair)
+    assert rep.total_bits == 2 * pair.n + 17 * 100_000
+    assert pair.nbytes == 2 * ((2 * pair.n + 7) // 8) + 17 * 100_000 // 8
+    _assert_held(pair, rep)
 
 
-def test_size_report_is_34n():
-    # leaf pairs hold 2n + 32 per leaf, full pairs exactly 34n
+def test_size_report_packed_widths():
+    # leaf pairs hold 2n bits and L.bit_length() per leaf; full pairs
+    # n.bit_length() per node
     for n_leaves in (2, 7, 33):
         rng = random.Random(n_leaves)
         root = random_topology(rng, n_leaves, "mixed")
@@ -268,10 +300,14 @@ def test_size_report_is_34n():
         text = to_newick(root)
         pair = parse_pair(text, text)
         rep = size_report(pair)
-        assert rep.bp_bits + rep.map_bits == 2 * pair.n + 32 * n_leaves
-        assert rep.total_bits == 2 * pair.n + 32 * n_leaves
+        width = n_leaves.bit_length()
+        assert rep.bp_bits + rep.map_bits == 2 * pair.n + width * n_leaves
+        assert rep.total_bits == 2 * pair.n + width * n_leaves
+        _assert_held(pair, rep)
         root = random_topology(rng, n_leaves, "mixed")
         assign_labels(root, rng, full=True)
         text = to_newick(root)
         pair = parse_pair(text, text, mode="full")
-        assert size_report(pair).total_bits == 34 * pair.n
+        rep = size_report(pair)
+        assert rep.total_bits == (2 + pair.n.bit_length()) * pair.n
+        _assert_held(pair, rep)
