@@ -1,10 +1,13 @@
 """Pointer-based reference implementations.
 
-Everything here exists to check the succinct path from the outside: a
-throwaway recursive-structure parser, cluster sets built literally from
-the distance definitions, and Day's linear-time algorithm with its
-interval tables.  Nothing is tuned; the naive cluster construction is
-quadratic in the worst case and that is fine at oracle sizes.
+Everything here exists to check the succinct path from the outside:
+cluster sets built literally from the distance definitions, and Day's
+linear-time algorithm with its interval tables.  Both read pointer trees
+built from the bits of the strict error pass, newick._scan, so they
+reject what parse_pair rejects, with the same error; they never read
+the numpy accepting pass.  Nothing is tuned; the naive cluster
+construction is quadratic in the worst case and that is fine at oracle
+sizes.
 
 The only subtlety worth stating: cluster sets are keyed by sorted tuples
 of label ids, and the id numbering comes from the first tree's pre-order
@@ -14,12 +17,11 @@ into one key; the strict parser rejects them.
 """
 
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
 from .distance import METRICS, DistanceResult, OpCounts
-from .newick import _NUMBER, LabelMismatchError
+from .newick import LabelMismatchError, _scan
 
 
 class PlainNode:
@@ -31,60 +33,26 @@ class PlainNode:
         self.children = []
 
 
-def parse_plain(text: str) -> PlainNode:
-    """Minimal pointer-tree parse; inputs are assumed to have passed the
-    strict parser already.  A weight on the root is dropped to match it.
-    Weights are checked as the strict parser checks them: a literal that
-    is not a finite decimal, such as nan, inf, 1_0 or 1e999, raises
-    ValueError."""
-    i, n = 0, len(text)
-    stack = []
-    cur = None
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "(":
-            v = PlainNode()
-            if stack:
-                stack[-1].children.append(v)
+def parse_plain(text: str, tree_index: int = 1) -> PlainNode:
+    """The pointer tree of one text, as the error pass reads it: a node
+    per opening bit, in pre-order, with its label and weight, the root's
+    weight 0.0.  A text the strict parser rejects raises its ParseError;
+    tree_index only names the tree in it."""
+    bits, table, weights, _, _ = _scan(text, tree_index)
+    names = [None] * (len(bits) // 2)
+    for name, i in table.items():
+        names[i - 1] = name
+    nodes = list(map(PlainNode, names, weights or [0.0] * len(names)))
+    stack = [PlainNode()]   # holds the root as its child
+    it = iter(nodes)
+    for bit in bits:
+        if bit:
+            v = next(it)
+            stack[-1].children.append(v)
             stack.append(v)
-            cur = None
-            i += 1
-        elif c == ",":
-            cur = None
-            i += 1
-        elif c == ")":
-            cur = stack.pop()
-            i += 1
-        elif c == ";":
-            break
-        elif c == ":":
-            j = i + 1
-            while j < n and text[j] not in "(),;:" and not text[j].isspace():
-                j += 1
-            literal = text[i + 1:j]
-            if not (_NUMBER.match(literal) and isfinite(float(literal))):
-                raise ValueError(f"weight ':{literal}' at offset {i} is not "
-                                 "a finite decimal literal")
-            cur.weight = float(literal)
-            i = j
         else:
-            j = i
-            while j < n and text[j] not in "(),;:" and not text[j].isspace():
-                j += 1
-            if cur is None:
-                v = PlainNode(text[i:j])
-                if stack:
-                    stack[-1].children.append(v)
-                cur = v
-            else:
-                cur.label = text[i:j]
-            i = j
-    if cur is None:
-        raise ValueError("no tree found")
-    cur.weight = 0.0
-    return cur
+            stack.pop()
+    return nodes[0]
 
 
 def _preorder(root):
@@ -153,11 +121,11 @@ def naive_distance(cs1: ClusterSet, cs2: ClusterSet, metric: str):
 
 
 def naive_metric(text1: str, text2: str, metric: str):
-    """Parse both texts and evaluate one metric the slow way."""
+    """Parse both texts, then evaluate one metric the slow way."""
     mode, weighted = METRICS[metric]
+    roots = parse_plain(text1, 1), parse_plain(text2, 2)
     ids = {}
-    cs1 = naive_clusters(parse_plain(text1), mode, weighted, ids)
-    cs2 = naive_clusters(parse_plain(text2), mode, weighted, ids)
+    cs1, cs2 = (naive_clusters(root, mode, weighted, ids) for root in roots)
     return naive_distance(cs1, cs2, metric)
 
 
@@ -228,7 +196,7 @@ def build_day_tables(root1: PlainNode, root2: PlainNode):
 def day_rf(text1: str, text2: str) -> DistanceResult:
     """Classical linear-time RF: tree-1 clusters become code intervals,
     tree-2 clusters match when they are contiguous, full, and present."""
-    return day_rf_trees(parse_plain(text1), parse_plain(text2))
+    return day_rf_trees(parse_plain(text1, 1), parse_plain(text2, 2))
 
 
 def day_rf_trees(root1: PlainNode, root2: PlainNode) -> DistanceResult:

@@ -159,7 +159,7 @@ def cmd_dist(args):
                             "nextsibling")
         pair = parse_pair(text1, text2)
         t2 = time.perf_counter()
-        result = day_rf_trees(parse_plain(text1), parse_plain(text2))
+        result = day_rf_trees(parse_plain(text1, 1), parse_plain(text2, 2))
     else:
         pair = parse_pair(text1, text2, *METRICS[args.metric])
         t2 = time.perf_counter()

@@ -21,10 +21,10 @@ since the error pass reads whitespace and digits as Unicode does; on
 any '[', ']' or "'"; on any fault; and on a pair that does not fit its
 mode, weighting or label set.  The error pass, _scan, then reads
 the text token by token and raises the exact error: its message, its
-character offset and which tree.  Error offsets are not stored per
-node; an error recovers its offset by scanning the text again, and an
+character offset and which tree.  It is the one Newick reader written
+by hand; baseline's pointer trees are built from its bits too.  An
 error that concerns several labels or nodes names the first in
-pre-order.
+pre-order, and only a label-set mismatch scans a text again for it.
 
 The accepting pass joins a pair's labels without a Python string per
 label.  Each label is a span of its text's UTF-8 bytes, and gets one
@@ -67,7 +67,7 @@ mode.
 
 import re
 from array import array
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -241,15 +241,17 @@ def _unpack(data, width, count):
 
 
 def _scan(text, tree_index):
-    """Single pass over one newick string: (bits, table, weights,
-    first_internal).  table maps each label to its node's pre-order
+    """The error pass, the one Newick reader written token by token:
+    (bits, table, weights, first_internal, first_unlabelled), or the
+    exact ParseError.  table maps each label to its node's pre-order
     index; weights has slot i-1 for node i, or is None when the text has
-    no weight; first_internal is the offset of the first internal label,
-    or None."""
+    no weight.  first_internal is the offset of the first internal label,
+    first_unlabelled that of the '(' of the pre-order-first unlabelled
+    node; either is None when there is none."""
     bits = bytearray()
     weights = array("d")
     table = {}
-    stack = []
+    stack = []      # (node, offset of its '(') of each open '('
     commas = []     # ',' seen so far at each open '(' on the stack
     expect_node = True
     can_label = can_weight = False
@@ -257,6 +259,7 @@ def _scan(text, tree_index):
     n = 0
     any_weight = False
     first_internal = None
+    unlabelled = (inf, None)    # the least unlabelled node, as on the stack
     end = None
 
     for mo in _TOKEN.finditer(text):
@@ -284,6 +287,7 @@ def _scan(text, tree_index):
                 table[label] = cur
                 if first_internal is None:
                     first_internal = off
+                unlabelled = before
                 can_label = False
             else:
                 raise ParseError(f"unexpected label '{label}'", off, tree_index)
@@ -307,7 +311,7 @@ def _scan(text, tree_index):
             n += 1
             bits.append(1)
             weights.append(0.0)
-            stack.append(n)
+            stack.append((n, off))
             commas.append(0)
             cur = 0
         elif delim == ",":
@@ -323,7 +327,11 @@ def _scan(text, tree_index):
             if not commas.pop():
                 raise ParseError("internal node with a single child", off,
                                  tree_index)
-            cur = stack.pop()
+            cur, opened = stack.pop()
+            # unlabelled, unless a label follows and restores before
+            before = unlabelled
+            if cur < unlabelled[0]:
+                unlabelled = cur, opened
             bits.append(0)
             can_label = can_weight = True
         elif delim == ";":
@@ -340,7 +348,8 @@ def _scan(text, tree_index):
 
     if end is None:
         raise ParseError("missing ';' terminator", len(text), tree_index)
-    return bits, table, weights if any_weight else None, first_internal
+    return (bits, table, weights if any_weight else None, first_internal,
+            unlabelled[1])
 
 
 def _fast_scan(text, mode=None, weighted=False):
@@ -568,9 +577,8 @@ def _words(data, start):
 
 
 def _labels(data, start, length):
-    """(keys, long, lb, pos): every label's 64-bit join key, the indexes
-    of the labels of 8 bytes or more, and the last chunk of those labels'
-    lb and pos (see _label_bytes).  A label of at most 7 bytes is its own
+    """(keys, long): every label's 64-bit join key and the indexes of the
+    labels of 8 bytes or more.  A label of at most 7 bytes is its own
     key, its bytes masked to its length with the length in the top byte,
     read _BYTES labels at a time; a longer label's key is its hash with
     bit 63 set, made a chunk of text at a time."""
@@ -585,29 +593,12 @@ def _labels(data, start, length):
         w |= _LENGTH.take(k, mode="clip")
         keys[lo:lo + _BYTES] = w
     start, length = start[long], length[long]
-    lb = pos = None
     for lo, hi in _chunks(start, length):
         lb, pos, lead = _label_bytes(data, start[lo:hi], length[lo:hi])
         h = _label_hashes(lb, pos, lead, length[lo:hi])
         h |= _LONG
         keys[long[lo:hi]] = h
-    return keys, long, lb, pos
-
-
-def _node_offset(text, k):
-    """Offset of the '(' or leaf label opening pre-order node k of a text
-    that scanned cleanly; error paths only."""
-    n = 0
-    opens = True    # a label here opens a leaf
-    for mo in _TOKEN.finditer(text):
-        delim, wtok, label, _ = mo.groups()
-        if delim is None and wtok is None and label is None:
-            continue
-        if delim == "(" or (label is not None and opens):
-            n += 1
-            if n == k:
-                return mo.start()
-        opens = delim == "(" or delim == ","
+    return keys, long
 
 
 def _label_offset(text, label):
@@ -661,7 +652,7 @@ def _fast_pair(text1, text2, mode, weighted):
         return None
     bits2, data2, start2, len2, at2, w2 = scan
     del scan
-    h2, long2, lb2, pos2 = _labels(data2, start2, len2)
+    h2, long2 = _labels(data2, start2, len2)
     o2 = h2.argsort().astype(np.int32)
     if not (h2[o2] == h1).all():
         return None
@@ -676,9 +667,7 @@ def _fast_pair(text1, text2, mode, weighted):
     # a short label's key is its bytes: only the long labels are checked
     start2, len2, into2 = start2[long2], len2[long2], into[long2]
     for lo, hi in _chunks(start2, len2):
-        # _labels left the last chunk's bytes, all of them in one chunk
-        lb, pos, _ = (lb2, pos2, None) if hi == len2.size else _label_bytes(
-            data2, start2[lo:hi], len2[lo:hi])
+        lb, pos, _ = _label_bytes(data2, start2[lo:hi], len2[lo:hi])
         at_byte = start1[into2[lo:hi]].repeat(len2[lo:hi])
         at_byte += pos
         if not (data1.take(at_byte) == lb).all():
@@ -701,23 +690,21 @@ def _fast_pair(text1, text2, mode, weighted):
 def _checked_pair(text1, text2, mode, weighted):
     """parse_pair by the error pass: the same parts, or its exact error."""
     scans = (_scan(text1, 1), _scan(text2, 2))
-    for k, text, (bits, table, _, first_internal) in zip(
-            (1, 2), (text1, text2), scans):
-        n = len(bits) // 2
+    for k, (_, _, _, first_internal, first_unlabelled) in enumerate(
+            scans, 1):
         if mode == "leaf":
             if first_internal is not None:
                 raise ModeError("internal label not allowed in leaf mode",
                                 first_internal, k)
-        elif len(table) < n:
-            first = min(set(range(1, n + 1)) - set(table.values()))
+        elif first_unlabelled is not None:
             raise ModeError("unlabelled node in fully-labelled mode",
-                            _node_offset(text, first), k)
+                            first_unlabelled, k)
     if weighted:
-        for k, (_, _, w, _) in enumerate(scans, 1):
+        for k, (_, _, w, _, _) in enumerate(scans, 1):
             if w is None:
                 raise ModeError("weighted parse needs ':' weights", 0, k)
 
-    (bits1, table1, w1, _), (bits2, table2, w2, _) = scans
+    (bits1, table1, w1, _, _), (bits2, table2, w2, _, _) = scans
     try:
         into = np.fromiter(map(table1.__getitem__, table2), np.intp,
                            len(table2))
@@ -756,7 +743,7 @@ def parse_tree(text: str):
                   zip(start.tolist(), (start + length).tolist())]
         at = at.tolist()
     if scan is None or len(set(labels)) < len(labels):
-        bits, table, w, _ = _scan(text, 1)
+        bits, table, w, _, _ = _scan(text, 1)
         bits = np.frombuffer(bits, np.uint8)
         labels, at = table.keys(), table.values()
         w = None if w is None else np.array(w)

@@ -13,8 +13,8 @@ from bprf.baseline import (
     naive_metric,
     parse_plain,
 )
-from bprf.distance import rf_nextsibling
-from bprf.newick import LabelMismatchError, parse_pair
+from bprf.distance import METRICS, rf_nextsibling
+from bprf.newick import LabelMismatchError, ParseError, parse_pair
 
 from conftest import code_map, pair_texts, to_newick
 
@@ -99,16 +99,36 @@ def test_parse_plain_roundtrip():
         assert root.weight == 0.0
 
 
-@pytest.mark.parametrize("text", ["(A:nan,B);", "(A:inf,B);", "(A:1_0,B);",
-                                  "((A:1,B:1):1e999,C:1);"])
-def test_parse_plain_rejects_what_parse_pair_rejects(text):
-    # float() reads all four; the strict parser takes none of them
-    with pytest.raises(ValueError, match="finite decimal literal"):
-        parse_plain(text)
-    with pytest.raises(ValueError):
-        parse_pair(text, text, weighted=True)
-    with pytest.raises(ValueError):
-        naive_metric(text, text, "wrf")
+@pytest.mark.parametrize("text,offset,what", [
+    ("(A:nan,B);", 2, "malformed weight ':nan'"),
+    ("(A:inf,B);", 2, "malformed weight ':inf'"),
+    ("(A:1_0,B);", 2, "malformed weight ':1_0'"),
+    ("((A:1,B:1):1e999,C:1);", 10, "weight ':1e999' is not finite")])
+def test_parse_plain_rejects_what_parse_pair_rejects(text, offset, what):
+    # float() reads all four; the strict parser takes none of them, and
+    # the plain reader raises its error
+    for read in (parse_plain, lambda t: parse_pair(t, t, weighted=True),
+                 lambda t: naive_metric(t, t, "wrf")):
+        with pytest.raises(ParseError) as ei:
+            read(text)
+        assert (ei.value.tree_index, ei.value.offset) == (1, offset)
+        assert str(ei.value).endswith(what)
+
+
+@pytest.mark.parametrize("bad", ["((A,B),(C,D)", "((A,B),(C,D));x",
+                                 "((A,B),(C D));", "((A,B),(C,D)[c]);",
+                                 "((A,B),((C,D)));", "((A,B),(C,C));"])
+def test_oracles_name_the_bad_second_tree(bad):
+    # the oracles raise parse_pair's error, which names tree 2
+    good = "((A,B),(C,D));"
+    runs = [lambda: parse_pair(good, bad), lambda: day_rf(good, bad)] + [
+        lambda m=m: naive_metric(good, bad, m) for m in METRICS]
+    errors = set()
+    for run in runs:
+        with pytest.raises(ParseError) as ei:
+            run()
+        errors.add((ei.value.tree_index, ei.value.offset, str(ei.value)))
+    assert len(errors) == 1 and errors.pop()[0] == 2
 
 
 @pytest.mark.parametrize("ws", list(" \t\n\r\x0b\x0c\x1c\x1f\xa0\u2003"))

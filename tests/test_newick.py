@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bprf import newick
+from bprf.baseline import parse_plain
 from bprf.newick import (
     LabelMismatchError,
     ModeError,
@@ -130,7 +131,7 @@ def test_weight_forms():
     assert w.tolist() == [0.0, 1.0, 0.5, 0.002, -125.0, 3.0]
 
 
-@pytest.mark.parametrize("text,offset,what", [
+_PARSE_ERRORS = [
     ("((A,B);", 6, "unbalanced"),
     ("(A,B));", 5, "expected a node"),
     ("(A,A);", 3, "duplicate"),
@@ -148,7 +149,10 @@ def test_weight_forms():
     ("('A B',C);", 1, "quoted labels are not supported"),
     ("(A:1e999,B);", 2, "not finite"),
     ("(A,B):-1e400;", 5, "not finite"),
-])
+]
+
+
+@pytest.mark.parametrize("text,offset,what", _PARSE_ERRORS)
 def test_parse_errors(text, offset, what):
     with pytest.raises(ParseError) as ei:
         parse_tree(text)
@@ -158,14 +162,17 @@ def test_parse_errors(text, offset, what):
 
 # a node with one child repeats its child's cluster; such inputs once gave
 # rf -1 for "((A),B);" against "(A,B);" (Day and the oracle give 1)
-@pytest.mark.parametrize("text,offset", [
+_UNARY_NODES = [
     ("((A),B);", 3),
     ("(((A,B)),C);", 7),
     ("((A)X,B)Y;", 3),
     ("((A,B));", 6),
     ("(A);", 2),
     ("((A:1):2,B:1);", 5),
-])
+]
+
+
+@pytest.mark.parametrize("text,offset", _UNARY_NODES)
 def test_unary_node_rejected(text, offset):
     with pytest.raises(ParseError) as ei:
         parse_tree(text)
@@ -175,6 +182,19 @@ def test_unary_node_rejected(text, offset):
         with pytest.raises(ParseError) as ei:
             parse_pair(a, b)
         assert (ei.value.tree_index, ei.value.offset) == (k, offset)
+
+
+@pytest.mark.parametrize("text", [t for t, *_ in _PARSE_ERRORS + _UNARY_NODES]
+                         + ["(A,B);junk", "(A,(B,C)", "(A,B)[x];"])
+def test_plain_reader_raises_the_error_pass_error(text):
+    # the oracle's pointer trees come from the error pass: what parse_tree
+    # rejects, parse_plain rejects with the same type, message and offset
+    with pytest.raises(ParseError) as strict:
+        parse_tree(text)
+    with pytest.raises(ParseError) as plain:
+        parse_plain(text)
+    assert (type(plain.value), str(plain.value), plain.value.offset) == \
+        (type(strict.value), str(strict.value), strict.value.offset)
 
 
 def test_parse_error_reports_tree_index():
@@ -221,9 +241,11 @@ def test_mode_validation():
     assert ei.value.offset == 1 and ei.value.tree_index == 2
 
     # an unlabelled node is reported at its '(', past weights and
-    # whitespace; of several, the first in pre-order
+    # whitespace; of several, the first in pre-order, though in the second
+    # case (A,B) closes before the root
     for a, b, k, offset in (
             ("((A:1, B:2)X:1,(C,D))R;", "((A,B)X,(C,D)Y)R;", 1, 15),
+            ("(((A,B),C)Y,D);", "(((A,B)X,C)Y,D)R;", 1, 0),
             ("((A,B),(C,D))R;", "((A,B)X,(C,D)Y)R;", 1, 1),
             ("((A,B)X,(C,D)Y)R;", "(\n (A:1,B:2)X:1 ,( C , D ) )R;", 2, 17)):
         with pytest.raises(ModeError) as ei:
@@ -562,7 +584,7 @@ def test_fast_path_taken_on_deep_caterpillar():
     scan = newick._fast_scan(text, "full", True)
     assert scan is not None
     fbits, data, start, length, at, fw = scan
-    bits, table, w, _ = newick._scan(text, 1)
+    bits, table, w, _, _ = newick._scan(text, 1)
     assert fbits.tobytes() == bytes(bits)
     # the label spans, decoded, are the labels _scan read, node for node
     raw = data.tobytes()
@@ -888,13 +910,12 @@ def test_short_label_keys_exact():
     # the key of a label of at most 7 bytes is its bytes and its length
     text = "(ABCDEé,ABCDEF\x00,ABCDEF,A,LongLabel);"
     bits, data, start, length, at, w = newick._fast_scan(text)
-    keys, long, lb, pos = newick._labels(data, start, length)
+    keys, long = newick._labels(data, start, length)
     for key, name in zip(keys[:4].tolist(), newick._LABEL.findall(text)):
         raw = name.encode()
         assert key == int.from_bytes(raw, "little") | len(raw) << 56
     assert long.tolist() == [4]
     assert keys[4] >> 63 == 1
-    assert lb.tobytes() == b"LongLabel"
 
 
 # the characters of the random labels: ASCII label bytes, NUL and other
