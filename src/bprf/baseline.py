@@ -2,12 +2,13 @@
 
 Everything here exists to check the succinct path from the outside:
 cluster sets built literally from the distance definitions, and Day's
-linear-time algorithm with its interval tables.  Both read pointer trees
-built from the bits of the strict error pass, newick._scan, so they
-reject what parse_pair rejects, with the same error; they never read
-the numpy accepting pass.  Nothing is tuned; the naive cluster
-construction is quadratic in the worst case and that is fine at oracle
-sizes.
+linear-time algorithm, which folds both trees into leaf-code intervals
+the same way.  Both read pointer trees built from the bits of the
+strict error pass, newick._scan, after newick._checked_scans has made
+parse_pair's mode, weight and label-set checks, so they reject what
+parse_pair rejects, with the same error; they never read the numpy
+accepting pass.  Nothing is tuned; the naive cluster construction is
+quadratic in the worst case and that is fine at oracle sizes.
 
 The only subtlety worth stating: cluster sets are keyed by sorted tuples
 of label ids, and the id numbering comes from the first tree's pre-order
@@ -18,10 +19,8 @@ into one key; the strict parser rejects them.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distance import METRICS, DistanceResult, OpCounts
-from .newick import LabelMismatchError, _scan
+from .newick import _checked_scans, _scan
 
 
 class PlainNode:
@@ -33,12 +32,10 @@ class PlainNode:
         self.children = []
 
 
-def parse_plain(text: str, tree_index: int = 1) -> PlainNode:
-    """The pointer tree of one text, as the error pass reads it: a node
-    per opening bit, in pre-order, with its label and weight, the root's
-    weight 0.0.  A text the strict parser rejects raises its ParseError;
-    tree_index only names the tree in it."""
-    bits, table, weights, _, _ = _scan(text, tree_index)
+def _plain(scan):
+    """The pointer tree of one _scan: a node per opening bit, in
+    pre-order, with its label and weight, the root's weight 0.0."""
+    bits, table, weights, _, _ = scan
     names = [None] * (len(bits) // 2)
     for name, i in table.items():
         names[i - 1] = name
@@ -53,6 +50,21 @@ def parse_plain(text: str, tree_index: int = 1) -> PlainNode:
         else:
             stack.pop()
     return nodes[0]
+
+
+def parse_plain(text: str, tree_index: int = 1) -> PlainNode:
+    """The pointer tree of one text, as the error pass reads it.  A text
+    the strict parser rejects raises its ParseError; tree_index only
+    names the tree in it.  No mode applies: internal labels are kept."""
+    return _plain(_scan(text, tree_index))
+
+
+def plain_pair(text1: str, text2: str, metric: str):
+    """Both texts' pointer trees, once they pass parse_pair's checks in
+    metric's mode and weighting; otherwise parse_pair's exact error."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    return map(_plain, _checked_scans(text1, text2, *METRICS[metric]))
 
 
 def _preorder(root):
@@ -122,116 +134,49 @@ def naive_distance(cs1: ClusterSet, cs2: ClusterSet, metric: str):
 
 def naive_metric(text1: str, text2: str, metric: str):
     """Parse both texts, then evaluate one metric the slow way."""
+    roots = plain_pair(text1, text2, metric)
     mode, weighted = METRICS[metric]
-    roots = parse_plain(text1, 1), parse_plain(text2, 2)
     ids = {}
     cs1, cs2 = (naive_clusters(root, mode, weighted, ids) for root in roots)
     return naive_distance(cs1, cs2, metric)
 
 
-@dataclass
-class DayTables:
-    """Day's per-node interval table for tree 1 plus the two leaf code
-    arrays; four 32-bit values per node and two per leaf."""
-
-    lmin: np.ndarray
-    lmax: np.ndarray
-    nleaf: np.ndarray
-    csize: np.ndarray
-    code_by_t1_leaf: np.ndarray
-    code_by_t2_leaf: np.ndarray
-
-    def bits(self) -> int:
-        arrays = (self.lmin, self.lmax, self.nleaf, self.csize,
-                  self.code_by_t1_leaf, self.code_by_t2_leaf)
-        return sum(a.size * a.itemsize * 8 for a in arrays)
-
-
-def build_day_tables(root1: PlainNode, root2: PlainNode):
-    """Relabel tree-1 leaves 1..L in traversal order and fold, per node,
-    leftmost code, rightmost code, leaf count, and subtree size.  Every
-    tree-1 cluster is then the full code interval [lmin, lmax]."""
-    order = _preorder(root1)
-    n = len(order)
-    lmin = np.zeros(n, dtype=np.int32)
-    lmax = np.zeros(n, dtype=np.int32)
-    nleaf = np.zeros(n, dtype=np.int32)
-    csize = np.zeros(n, dtype=np.int32)
-    index = {id(v): i for i, v in enumerate(order)}
-    code_of = {}
-    for v in order:
-        if not v.children:
-            code_of[v.label] = len(code_of) + 1
-    for v in reversed(order):
-        i = index[id(v)]
-        if not v.children:
+def _folds(root, code_of):
+    """(lo, hi, count) of each internal node, children first: the least
+    and greatest code of its leaves and their number; its cluster is the
+    code interval [lo, hi] exactly when count == hi - lo + 1."""
+    done = []   # the finished subtrees' triples, a node's first child on top
+    for v in reversed(_preorder(root)):
+        k = len(v.children)
+        if not k:
             c = code_of[v.label]
-            lmin[i] = lmax[i] = c
-            nleaf[i] = 1
-            csize[i] = 1
-        else:
-            ks = [index[id(c)] for c in v.children]
-            lmin[i] = min(int(lmin[k]) for k in ks)
-            lmax[i] = max(int(lmax[k]) for k in ks)
-            nleaf[i] = sum(int(nleaf[k]) for k in ks)
-            csize[i] = 1 + sum(int(csize[k]) for k in ks)
-
-    t2_leaves = [v for v in _preorder(root2) if not v.children]
-    codes2 = np.zeros(len(t2_leaves), dtype=np.int32)
-    for i, v in enumerate(t2_leaves):
-        c = code_of.get(v.label)
-        if c is None:
-            raise LabelMismatchError(f"label '{v.label}' not in first tree",
-                                     0, 2)
-        codes2[i] = c
-    if len(t2_leaves) != len(code_of):
-        raise LabelMismatchError("leaf sets differ in size", 0, 2)
-
-    tables = DayTables(lmin, lmax, nleaf, csize,
-                       np.arange(1, len(code_of) + 1, dtype=np.int32),
-                       codes2)
-    return tables, order, code_of
+            done.append((c, c, 1))
+            continue
+        los, his, counts = zip(*done[-k:])
+        del done[-k:]
+        fold = min(los), max(his), sum(counts)
+        done.append(fold)
+        yield fold
 
 
 def day_rf(text1: str, text2: str) -> DistanceResult:
     """Classical linear-time RF: tree-1 clusters become code intervals,
     tree-2 clusters match when they are contiguous, full, and present."""
-    return day_rf_trees(parse_plain(text1, 1), parse_plain(text2, 2))
+    return day_rf_trees(*plain_pair(text1, text2, "rf"))
 
 
 def day_rf_trees(root1: PlainNode, root2: PlainNode) -> DistanceResult:
-    """day_rf after parsing; split out so the two phases can be timed."""
-    tables, order1, code_of = build_day_tables(root1, root2)
-
-    index = {id(v): i for i, v in enumerate(order1)}
-    intervals = set()
-    internal1 = 0
-    for v in order1:
-        if v.children:
-            internal1 += 1
-            i = index[id(v)]
-            intervals.add((int(tables.lmin[i]), int(tables.lmax[i])))
-
-    order2 = _preorder(root2)
-    fold = {}
-    internal2 = 0
-    common = 0
-    for v in reversed(order2):
-        if not v.children:
-            c = code_of[v.label]
-            fold[id(v)] = (c, c, 1)
-        else:
-            internal2 += 1
-            lo = hi = None
-            cnt = 0
-            for ch in v.children:
-                a, b, k = fold.pop(id(ch))
-                lo = a if lo is None else min(lo, a)
-                hi = b if hi is None else max(hi, b)
-                cnt += k
-            fold[id(v)] = (lo, hi, cnt)
-            if cnt == hi - lo + 1 and (lo, hi) in intervals:
-                common += 1
-
-    raw = internal1 + internal2 - 2 * common
+    """day_rf after parsing, split out so the two phases can be timed.
+    It checks nothing: it takes a pair that parse_pair or plain_pair
+    accepted, and reads only leaf labels.  Tree 1's leaves are coded 1..L
+    in pre-order, so each of its clusters is a full code interval, one
+    per internal node since no node has a single child."""
+    leaves = (v.label for v in _preorder(root1) if not v.children)
+    code_of = {label: c for c, label in enumerate(leaves, 1)}
+    intervals = {(lo, hi) for lo, hi, _ in _folds(root1, code_of)}
+    internal2 = common = 0
+    for lo, hi, count in _folds(root2, code_of):
+        internal2 += 1
+        common += count == hi - lo + 1 and (lo, hi) in intervals
+    raw = len(intervals) + internal2 - 2 * common
     return DistanceResult("rf", "day", raw, raw / 2, common, None, OpCounts())

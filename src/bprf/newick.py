@@ -22,9 +22,10 @@ any '[', ']' or "'"; on any fault; and on a pair that does not fit its
 mode, weighting or label set.  The error pass, _scan, then reads
 the text token by token and raises the exact error: its message, its
 character offset and which tree.  It is the one Newick reader written
-by hand; baseline's pointer trees are built from its bits too.  An
-error that concerns several labels or nodes names the first in
-pre-order, and only a label-set mismatch scans a text again for it.
+by hand; baseline's pointer trees are built from its bits too, after
+the same pair checks, _checked_scans.  An error that concerns several
+labels or nodes names the first in pre-order, and only a label-set
+mismatch scans a text again for it.
 
 The accepting pass joins a pair's labels without a Python string per
 label.  Each label is a span of its text's UTF-8 bytes, and gets one
@@ -687,9 +688,12 @@ def _fast_pair(text1, text2, mode, weighted):
     return bits1, bits2, ranks, w1, w2
 
 
-def _checked_pair(text1, text2, mode, weighted):
-    """parse_pair by the error pass: the same parts, or its exact error."""
-    scans = (_scan(text1, 1), _scan(text2, 2))
+def _checked_scans(text1, text2, mode, weighted):
+    """Both texts' _scan once they pair in mode and weighting, or the
+    exact error: each tree's mode, then each tree's weights, then the
+    label sets.  The pre-order-first label of tree 2 not in tree 1 is
+    named at its offset, else that missing from tree 2 at its end."""
+    scans = _scan(text1, 1), _scan(text2, 2)
     for k, (_, _, _, first_internal, first_unlabelled) in enumerate(
             scans, 1):
         if mode == "leaf":
@@ -703,20 +707,25 @@ def _checked_pair(text1, text2, mode, weighted):
         for k, (_, _, w, _, _) in enumerate(scans, 1):
             if w is None:
                 raise ModeError("weighted parse needs ':' weights", 0, k)
-
-    (bits1, table1, w1, _, _), (bits2, table2, w2, _, _) = scans
-    try:
-        into = np.fromiter(map(table1.__getitem__, table2), np.intp,
-                           len(table2))
-    except KeyError:
-        # the table's order is not pre-order: name the pre-order-first
-        lab = min(table2.keys() - table1.keys(), key=table2.get)
+    table1, table2 = scans[0][1], scans[1][1]
+    # a table's order is not pre-order: name the pre-order-first label
+    extra = table2.keys() - table1.keys()
+    if extra:
+        lab = min(extra, key=table2.get)
         raise LabelMismatchError(f"label '{lab}' not in first tree",
-                                 _label_offset(text2, lab), 2) from None
+                                 _label_offset(text2, lab), 2)
     if len(table2) < len(table1):
         lab = min(table1.keys() - table2.keys(), key=table1.get)
         raise LabelMismatchError(f"label '{lab}' missing from second tree",
                                  len(text2), 2)
+    return scans
+
+
+def _checked_pair(text1, text2, mode, weighted):
+    """parse_pair by the error pass: the same parts, or its exact error."""
+    (bits1, table1, w1, _, _), (bits2, table2, w2, _, _) = _checked_scans(
+        text1, text2, mode, weighted)
+    into = np.fromiter(map(table1.__getitem__, table2), np.intp, len(table2))
     if mode == "leaf":
         # the tables hold the leaves in leaf order: table2's order sorted
         # by tree 1's index, into, gives each tree-1 leaf its rank

@@ -186,9 +186,9 @@ def unpack(data: bytes):
 
 @dataclass(frozen=True)
 class SizeReport:
-    """Bits declared per pair component, next to the interval-table figure
-    a pointer-based comparison would need for the same node count, and
-    the bits measured as held."""
+    """Bits declared per pair component, next to the declared size of
+    Day's textbook interval table for the same node count, and the bits
+    measured as held."""
 
     bp_bits: int
     map_bits: int
@@ -205,9 +205,11 @@ def size_report(pair) -> SizeReport:
     """Declared: a TreePair's tree 1 and its ranks at the width they are
     packed at, one slot per leaf in leaf mode and per node in full mode.
     A lone BpTree (bprf pack --report) is declared as a full pair of it
-    would be: n slots of n.bit_length() bits.  held_bits is 8 times the
-    bytes held, TreePair.nbytes for a pair, and the packed bits for a
-    lone tree."""
+    would be: n slots of n.bit_length() bits.  comparison_bits_day is
+    Day's textbook table, declared, not held: four 32-bit values per
+    node and two per leaf, 192n - 64 at a star's n - 1 leaves.
+    held_bits is 8 times the bytes held, TreePair.nbytes for a pair,
+    and the packed bits for a lone tree."""
     if isinstance(pair, TreePair):
         n, held = pair.n, pair.nbytes
         map_bits = pair.rank_width * pair.n_slots

@@ -1,22 +1,28 @@
-"""Oracle internals: Day tables, naive cluster sets, the plain parser."""
+"""Oracle internals: Day's fold, naive cluster sets, the plain parser,
+and the pair checks the oracles share with parse_pair."""
 
 import random
 
 import pytest
 
 from bprf.baseline import (
-    DayTables,
-    build_day_tables,
     day_rf,
     naive_clusters,
     naive_distance,
     naive_metric,
     parse_plain,
 )
-from bprf.distance import METRICS, rf_nextsibling
-from bprf.newick import LabelMismatchError, ParseError, parse_pair
+from bprf.distance import METRICS, compute, rf_nextsibling
+from bprf.newick import LabelMismatchError, ModeError, ParseError, parse_pair
 
-from conftest import code_map, pair_texts, to_newick
+from conftest import (
+    PNode,
+    assign_labels,
+    code_map,
+    pair_texts,
+    random_topology,
+    to_newick,
+)
 
 T4 = "(((A,B),C),(D,E,F));"
 T5 = "((D,E,F),(B,(A,C)));"
@@ -42,25 +48,6 @@ def test_day_vs_succinct_large():
 def test_day_label_mismatch():
     with pytest.raises(LabelMismatchError):
         day_rf("(A,B);", "(A,C);")
-
-
-def test_day_tables_bits_star():
-    # a star over L leaves has n = L + 1 nodes, the worst case for the
-    # table footprint: 128n + 64L = 192n - 64
-    for leaves in (3, 10, 257):
-        star = "(" + ",".join(f"L{i}" for i in range(leaves)) + ");"
-        tables, _, _ = build_day_tables(parse_plain(star), parse_plain(star))
-        n = leaves + 1
-        assert tables.bits() == 128 * n + 64 * leaves == 192 * n - 64
-
-
-def test_day_tables_bits_measured():
-    tables, order, _ = build_day_tables(parse_plain(T4), parse_plain(T5))
-    assert isinstance(tables, DayTables)
-    assert tables.bits() == 128 * 10 + 64 * 6
-    assert tables.lmin.dtype.itemsize == 4
-    # tree-1 intervals are contiguous by construction
-    assert (tables.lmax - tables.lmin + 1 == tables.nleaf).all()
 
 
 def test_naive_cluster_enumeration():
@@ -139,3 +126,78 @@ def test_parse_plain_reads_every_whitespace(ws):
     assert to_newick(parse_plain(text)) == "((A,B),(C,D),E);"
     assert code_map(parse_pair(text, text)).tolist() == \
         [0, 0, 3, 4, 0, 6, 7, 8]
+
+
+# The pairs the paper's metrics are not defined on, frozen: an internal
+# label in leaf mode, no weights for wrf, an unlabelled node in full
+# mode, and a tree-2 label that tree 1 lacks
+MOTIVATION = [("((A,B)X,C);", "((A,C),B);"), ("((A,B),C);", "((A,C),B);"),
+              ("((A,B),C)R;", "((A,C)S,B)T;"), ("((A,B),C);", "((A,C),D);")]
+
+
+def _fault_pairs(rng, full, weights):
+    """Seeded pairs with one fault each, of mode, weights or label set, in
+    either tree, and one pair without a fault."""
+    n = rng.randint(3, 25)
+    yield pair_texts(rng, n, "mixed", full, weights)
+
+    def texts(n2=n, fault=None, bare=None):
+        # trees of n and n2 leaves, fault done to one; tree bare unweighted
+        roots = [random_topology(rng, k, "mixed") for k in (n, n2)]
+        nodes = [assign_labels(r, rng, full, weights) for r in roots]
+        if fault:
+            fault(rng.choice(nodes))
+        return tuple(to_newick(r, weights and k != bare)
+                     for k, r in enumerate(roots))
+
+    def internal_label(nodes):
+        rng.choice([v for v in nodes if v.children]).label = "X"
+
+    def unlabelled(nodes):
+        rng.choice([v for v in nodes if v.children]).label = None
+
+    def swapped(nodes):
+        rng.choice([v for v in nodes if not v.children]).label = "Q"
+
+    def added(nodes):
+        rng.choice([v for v in nodes if v.children]).children.append(
+            PNode("Z", rng.random()))
+
+    for fault in (internal_label, unlabelled, swapped, added):
+        yield texts(fault=fault)
+    yield texts(n + 1)  # tree 2's extra leaf label is not in tree 1
+    yield texts(n - 1)  # tree 1's last leaf label is missing from tree 2
+    yield texts(bare=rng.randrange(2))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "offset", None), \
+            getattr(e, "tree_index", None)
+
+
+def test_oracles_raise_parse_pairs_errors():
+    # wherever parse_pair raises, so do naive_metric and day_rf, with the
+    # same error; wherever it accepts, they give compute's value
+    rng = random.Random(2110)
+    pairs = list(MOTIVATION)
+    for _ in range(6):
+        for full in (False, True):
+            for weights in (False, True):
+                pairs += _fault_pairs(rng, full, weights)
+    raised = set()
+    for a, b in pairs:
+        for m in METRICS:
+            want = _outcome(lambda: compute(parse_pair(a, b, *METRICS[m]), m))
+            naive = _outcome(lambda: naive_metric(a, b, m))
+            day = _outcome(lambda: day_rf(a, b)) if m == "rf" else None
+            if isinstance(want, tuple):
+                raised.add(want[0])
+                assert naive == want
+                assert m != "rf" or day == want
+            else:
+                assert naive == pytest.approx(want.raw, abs=1e-9)
+                assert m != "rf" or day.raw == want.raw
+    assert raised == {ModeError, LabelMismatchError}

@@ -163,6 +163,18 @@ def test_dist_exit_codes(nwk, tmp_path):
     assert run_cli("pack", str(latin), os.devnull).returncode == 2
 
 
+def test_dist_day_pair_faults(nwk):
+    # --algo day refuses a pair the sweep refuses, with the same message
+    a = nwk("a", T4)
+    for other, code in (("(((A,B)X,C),(D,E,F));", 3),
+                        ("(((A,B),C),(D,E,G));", 4)):
+        b = nwk("b", other)
+        day, sweep = (run_cli("dist", a, b, "--algo", algo)
+                      for algo in ("day", "postorder"))
+        assert day.returncode == sweep.returncode == code, day.stderr
+        assert day.stderr == sweep.stderr and "tree 2, offset" in day.stderr
+
+
 def test_dist_unary_node_exits_2(nwk):
     # these pairs once printed rf -1, rf -1 and erf 0 (the oracle: 1, 0, 2)
     for a, b, metric in (("((A),B);", "(A,B);", "rf"),

@@ -265,8 +265,10 @@ def test_mode_errors():
         werf(full_pair)
     with pytest.raises(ValueError):
         erf(parse_pair(T2, T3, mode="full"), impl="recursive")
-    with pytest.raises(ValueError):
-        compute(leaf_pair, "hamming")
+    for run in (lambda: compute(leaf_pair, "hamming"),
+                lambda: naive_metric(T4, T5, "hamming")):
+        with pytest.raises(ValueError, match="unknown metric 'hamming'"):
+            run()
 
 
 def test_deep_caterpillar_all_drivers():
