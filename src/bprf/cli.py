@@ -17,7 +17,7 @@ import random
 import sys
 import time
 
-from .baseline import PlainNode, _preorder, day_rf_trees, parse_plain
+from .baseline import PlainNode, _preorder, day_rf_trees, plain_pair
 from .distance import METRICS, compute
 from .newick import (
     LabelMismatchError,
@@ -157,9 +157,11 @@ def cmd_dist(args):
         if args.emit_common:
             raise ModeError("--emit-common needs --algo postorder or "
                             "nextsibling")
-        pair = parse_pair(text1, text2)
+        # Day's trees come from the error pass alone; parse_pair, for the
+        # sizes, runs only under --stats, after the timed phases
+        roots = tuple(plain_pair(text1, text2, "rf"))
         t2 = time.perf_counter()
-        result = day_rf_trees(parse_plain(text1, 1), parse_plain(text2, 2))
+        result = day_rf_trees(*roots)
     else:
         pair = parse_pair(text1, text2, *METRICS[args.metric])
         t2 = time.perf_counter()
@@ -171,6 +173,8 @@ def cmd_dist(args):
         for i, j in result.common:
             print(f"{i}\t{j}")
     if args.stats:
+        if args.algo == "day":
+            pair = parse_pair(text1, text2)
         print(f"stats: read_s={t1 - t0:.6f} parse_s={t2 - t1:.6f} "
               f"distance_s={t3 - t2:.6f} candidates={result.ops.total()} "
               f"held_bytes={pair.nbytes} "

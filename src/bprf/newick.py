@@ -49,6 +49,16 @@ conversion are made a chunk of _BYTES slots, labels or bytes at a time;
 a label longer than a chunk is a chunk of its own, and a text that fits
 in one chunk is read in one.
 
+A chunk of weight literals that share one shape, such as the '%.6f'
+output of most tree tools, is read without strtod: one length of at most
+16 bytes, a '.' at one offset and ASCII digits at every other.  Its at
+most 15 digits are an integer m < 2**53, one (literals x bytes) matrix
+times a place-value vector gives every m exactly, and m / 10**f, with f
+<= 15 digits after the '.', is one correctly rounded division of two
+exact doubles (Clinger's fast path), so the value is float's to the bit.
+Any other chunk, with a sign, an exponent or literals of mixed lengths,
+goes to the literal grammar and np.fromstring.
+
 Label syntax: a maximal run of characters excluding '(' ')' ',' ':' ';'
 '[' ']' "'" and whitespace (every character that str.isspace accepts).
 Weight syntax: ':' immediately followed by a finite decimal literal
@@ -359,9 +369,11 @@ def _fast_scan(text, mode=None, weighted=False):
     array and data the text's UTF-8 bytes, as uint8.  Label k, in text
     order, is the bytes data[start[k]:start[k] + length[k]], and at[k]
     is its node's pre-order index; all three are int32.  weights is as
-    _scan's.  mode "leaf" gives up on an internal label and "full" on an
-    unlabelled node; weighted gives up on a text with no weight.
-    Repeated labels are the caller's to find."""
+    _scan's: a chunk of literals of one shape is read by _decimals, any
+    other by _NUMBERS and np.fromstring.  mode "leaf" gives up on an
+    internal label and "full" on an unlabelled node; weighted gives up
+    on a text with no weight.  Repeated labels are the caller's to
+    find."""
     if not text.isascii() and _WIDE_SPACE.search(text):
         return None
     raw = text.encode("utf-8", "surrogatepass")
@@ -435,9 +447,12 @@ def _fast_scan(text, mode=None, weighted=False):
     cb[oc[1::2]] = cb[oc[0::2]]
     cur[sel] = cb
     del sel, cb, oc
-    cur[1:][internal[1:]] = cur[:-1][internal[1:]]
+    # no target is a source: a ')' is no internal label, no ':' follows a ':'
+    i = internal.nonzero()[0]
+    cur[i] = cur[i - 1]
     colon = kinds == _COLON
-    cur[1:][colon[1:]] = cur[:-1][colon[1:]]
+    i = colon.nonzero()[0]
+    cur[i] = cur[i - 1]
     n_lab = int(np.count_nonzero(is_lab))
     if mode == "full" and n_lab != n:
         return None
@@ -446,7 +461,7 @@ def _fast_scan(text, mode=None, weighted=False):
     # every node writes its opening bit, then its closing bit; a '(' writes
     # only the first and a ')' only the second, 2 marks the bit not written
     s = _pick(kinds, node | (kinds == _CLOSE))
-    del kinds, is_lab, internal, node, cur, colon  # before the labels exist
+    del kinds, is_lab, internal, node, cur, colon, i  # before the labels exist
     emit = np.empty((s.size, 2), np.uint8)
     emit[:, 0] = s == _CLOSE
     emit[:, 0] += 1
@@ -464,6 +479,10 @@ def _fast_scan(text, mode=None, weighted=False):
         w = np.zeros(n)
         start, length = run[is_w], run_len[is_w] + 1
         for lo, hi in _chunks(start, length):
+            v = _decimals(data, start[lo:hi], length[lo:hi] - 1)
+            if v is not None:
+                w[w_at[lo:hi] - 1] = v
+                continue
             # the literals, each with the byte that ends it made a ','
             at_byte, lead = _spans(start[lo:hi], length[lo:hi])
             joined = data.take(at_byte)
@@ -479,6 +498,30 @@ def _fast_scan(text, mode=None, weighted=False):
         w[0] = 0.0  # the root's weight is discarded
     is_w ^= True
     return bits, data, run[is_w], run_len[is_w], at, w
+
+
+def _decimals(data, start, length):
+    """The values of the literals data[start[k]:start[k] + length[k]],
+    bit for bit float's, when they share one shape: one length of 2 to
+    16 bytes, a '.' at one offset q and an ASCII digit at every other;
+    else None.  The digits form an integer m < 10**15 < 2**53, and with
+    f = length - 1 - q <= 15 the quotient m / 10**f of two exact doubles
+    is correctly rounded (Clinger's fast path)."""
+    k = int(length[0])
+    if not 2 <= k <= 16 or (length != k).any():
+        return None
+    # row i is data[i:i + k]: a strided view over the text
+    lit = np.ndarray((data.size - k + 1, k), np.uint8, data, 0, (1, 1))[start]
+    q = lit[0].tobytes().find(b".")
+    if q < 0 or (lit[:, q] != ord(".")).any():
+        return None
+    lit[:, q] = ord("0")
+    lit -= ord("0")
+    if lit.max() > 9:
+        return None
+    place = np.array([0 if j == q else 10 ** (k - 2 - j + (j > q))
+                      for j in range(k)], np.int64)
+    return (lit.astype(np.int64) @ place) / float(10 ** (k - 1 - q))
 
 
 def _pick(a, mask):

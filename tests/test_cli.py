@@ -1,4 +1,5 @@
-"""End-to-end checks of the bprf command line, run as subprocesses."""
+"""End-to-end checks of the bprf command line, run as subprocesses, and
+one in process where a pass is replaced."""
 
 import argparse
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bprf
+from bprf import cli, newick
 from bprf.baseline import parse_plain
 from bprf.cli import build_parser, generate_pair_texts, generate_tree_text
 from bprf.distance import compute
@@ -95,7 +97,7 @@ def test_dist_day_matches(nwk):
 
 def test_dist_day_odd_whitespace(nwk):
     # every character str.isspace accepts separates tokens in both
-    # parsers; Day's reads the text again after parse_pair accepts it
+    # parsers; Day's trees come from the error pass alone
     b = nwk("b", "((A,B),(C,D),E);")
     for ws in "\x0b\x0c\x1c\x1f\xa0":
         a = nwk("a", f"((A,B),(C,{ws}D),E);")
@@ -173,6 +175,22 @@ def test_dist_day_pair_faults(nwk):
                       for algo in ("day", "postorder"))
         assert day.returncode == sweep.returncode == code, day.stderr
         assert day.stderr == sweep.stderr and "tree 2, offset" in day.stderr
+
+
+def test_dist_day_reads_each_text_once(nwk, monkeypatch, capsys):
+    # Day's trees come from the error pass; without --stats the accepting
+    # pass never runs, and with it runs after the answer
+    monkeypatch.setattr(newick, "_fast_scan", None)  # a call fails
+    a, b = nwk("a", T4), nwk("b", T5)
+    assert cli.main(["dist", a, b, "--algo", "day"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    for other, code in (("(((A,B)X,C),(D,E,F));", 3),
+                        ("(((A,B),C),(D,E,G));", 4)):
+        assert cli.main(["dist", a, nwk("c", other), "--algo", "day"]) == code
+        assert "tree 2, offset" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        cli.main(["dist", a, b, "--algo", "day", "--stats"])
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_dist_unary_node_exits_2(nwk):

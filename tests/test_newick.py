@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bprf import newick
 from bprf.baseline import parse_plain
@@ -799,6 +799,110 @@ def test_literals_across_chunks():
     assert newick._fast_scan(bad) is None
     fast, slow = _both_passes(parse_pair, bad, b, mode="full", weighted=True)
     assert fast == slow and fast[0] is ParseError
+
+
+# ----------------------------------------------------------------------
+# weight literals: a chunk whose literals share one shape, one length of
+# at most 16 bytes with '.' at one offset and digits elsewhere, is read
+# by one integer product; any other chunk by _NUMBERS and np.fromstring
+
+_LITERAL_CHUNKS = (1, 7, 64, newick._BYTES)
+
+
+@st.composite
+def _shaped(draw, lengths=st.integers(2, 17)):
+    """(k, q, literals): literals of k bytes with '.' at offset q."""
+    k = draw(lengths)
+    q = draw(st.integers(0, k - 1))
+    digits = st.sampled_from(["9" * (k - 1), "0" * (k - 1)]) | st.text(
+        "0123456789", min_size=k - 1, max_size=k - 1)
+    return k, q, [d[:q] + "." + d[q:]
+                  for d in draw(st.lists(digits, min_size=1, max_size=12))]
+
+
+def _star(literals):
+    """A star tree whose leaf edges carry literals, in order."""
+    return "(" + ",".join(f"L{i}:{x}" for i, x in enumerate(literals)) \
+        + ",Z);"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_LITERAL_CHUNKS), _shaped())
+# 15 nines, the most the product holds; 16 nines pass 2**53
+@example(64, (16, 1, ["9.99999999999999", "0.00000000000001"]))
+@example(64, (17, 1, ["9.999999999999999", "0.000000000000001"]))
+@example(7, (8, 1, ["0.000000"]))
+def test_shaped_literals_are_floats(size, shape):
+    k, q, literals = shape
+    text = _star(literals)
+    want = np.array([float(x) for x in literals] + [0.0])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newick, "_BYTES", size)
+        if k <= 16:  # the product reads every chunk
+            m.setattr(newick, "_NUMBERS", None)
+        w = newick._fast_scan(text, "leaf", True)[5]
+    assert w[1:].tobytes() == want.tobytes()
+
+
+def _odd(literal, kind, at):
+    """literal with one change of kind; a second '.' or a character not
+    ASCII goes at offset at."""
+    if kind == "longer":
+        return literal + "5"
+    if kind == "sign":
+        return "-" + literal[1:]
+    if kind == "exponent":
+        return literal[:-2] + "e" + literal[-1]
+    if kind == "integer":
+        return literal.replace(".", "7")
+    if kind == ".":
+        return kind
+    if kind == "dot":  # 1.2.3, or 1..2 beside the first
+        return literal[:at] + "." + literal[at + 1:]
+    return literal[:at] + kind + literal[at + 1:]  # a character not ASCII
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_LITERAL_CHUNKS), _shaped(st.integers(2, 16)),
+       st.sampled_from(["longer", "sign", "exponent", "integer", "dot",
+                        ".", "é", "١"]), st.integers(0, 11),
+       st.integers(0, 14))
+@example(64, (3, 1, ["1.5", "2.5"]), "longer", 1, 0)
+@example(64, (3, 1, ["1.5", "2.5"]), "integer", 1, 0)
+@example(64, (3, 1, ["1.5", "2.5"]), "dot", 1, 0)
+@example(1, (2, 1, ["5.", "5."]), ".", 0, 0)
+def test_odd_literal_leaves_the_product(size, shape, kind, i, at):
+    # one literal unlike the others sends its chunk to _NUMBERS and
+    # np.fromstring, whose grammar accepts or rejects it as _scan does;
+    # it is literal i, changed at the at-th offset that holds a digit
+    k, q, literals = shape
+    i %= len(literals)
+    literals[i] = _odd(literals[i], kind,
+                       [j for j in range(k) if j != q][at % (k - 1)])
+    text = _star(literals)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newick, "_BYTES", size)
+        tree, tree_slow = _both_passes(parse_tree, text)
+        fast, slow = _both_passes(parse_pair, text, text, weighted=True)
+    assert tree == tree_slow and fast == slow
+    if kind in ("dot", "."):
+        assert fast[0] is ParseError
+    if not isinstance(fast[0], type):  # fast[9] is w1's dtype and bytes
+        assert fast[9][1] == np.array(
+            [0.0] + [float(x) for x in literals] + [0.0]).tobytes()
+
+
+def test_generated_literals_take_the_product():
+    # the :.6f literals of bprf gen never reach _NUMBERS
+    a, b = generate_pair_texts(3000, 5, "random", True, True)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newick, "_scan", None)
+        m.setattr(newick, "_NUMBERS", None)
+        pair = parse_pair(a, b, "full", True)
+        parse_tree(a)
+    assert np.count_nonzero(pair.w1) == pair.n - 1
+    fast, slow = _both_passes(parse_pair, a, b, mode="full", weighted=True)
+    assert fast == slow
 
 
 def test_weighted_parse_peak():
