@@ -160,7 +160,9 @@ class LabelTable:
         self._names = names
 
     def name_of(self, i: int):
-        """Label of node i, or None."""
+        """Label of node i, or None; IndexError outside 1..n."""
+        if i < 1:
+            raise IndexError(f"node {i} out of range")
         return self._names[i - 1]
 
 
@@ -809,39 +811,27 @@ def write_newick(tree: BpTree, labels: LabelTable, weights=None) -> str:
     """Canonical newick text: stored child order, labels verbatim, weights
     in shortest round-trip decimal form, none on the root."""
     bits = tree.to01().tolist()
-    m = len(bits)
     wlist = None if weights is None else (
         weights.tolist() if hasattr(weights, "tolist") else list(weights))
+    # an opening bit after an opening bit is a first child, after a
+    # closing bit a later sibling; a closing bit after a closing bit
+    # ends an internal node, after an opening bit a leaf
     out = []
-    stack = []
-    idx = 0
-    just_closed = False
-    p = 0
-    while p < m:
-        if bits[p]:
-            if just_closed:
-                out.append(",")
+    stack = [1]
+    idx = 1
+    prev = 1
+    for b in bits[1:]:
+        if b:
+            out.append("(" if prev else ",")
             idx += 1
-            if p + 1 < m and bits[p + 1] == 0:
-                out.append(labels.name_of(idx) or "")
-                if wlist is not None and idx != 1:
-                    out.append(f":{wlist[idx - 1]!r}")
-                p += 2
-                just_closed = True
-            else:
-                out.append("(")
-                stack.append(idx)
-                p += 1
-                just_closed = False
+            stack.append(idx)
         else:
             v = stack.pop()
-            out.append(")")
-            name = labels.name_of(v)
-            if name:
-                out.append(name)
+            if not prev:
+                out.append(")")
+            out.append(labels.name_of(v) or "")
             if wlist is not None and v != 1:
                 out.append(f":{wlist[v - 1]!r}")
-            p += 1
-            just_closed = True
+        prev = b
     out.append(";")
     return "".join(out)

@@ -1,21 +1,27 @@
 """Bit-exact serialization and the size accounting.
 
-A packed tree is: magic "SBPT", version byte, flags byte (bit 0 marks a
-weight block), node count as unsigned 64-bit little-endian, the raw bit
-vector in ceil(2n/8) bytes (position 1 in the most significant bit of
-byte 0, pad bits zero), a label block (unsigned 32-bit count, then per
-label a varint node index, varint byte length, UTF-8 bytes), and, when
-flagged, n doubles little-endian.  Scalars are little-endian; varints
-are the usual base-128 with continuation bit.
+A packed tree, format version 2, is: magic "SBPT", version byte, flags
+byte (bit 0 marks a weight block), node count n as unsigned 64-bit
+little-endian, the bit vector in ceil(2n/8) bytes, the labelled-node
+count as unsigned 32-bit little-endian, the labelled-node bitmap in
+ceil(n/8) bytes (node i at bit i - 1), the names of the labelled nodes
+in pre-order, each in UTF-8 and followed by one newline, and, when
+flagged, n doubles little-endian.  Both bit sections hold their first
+bit in the most significant bit of their first byte, and their pad bits
+are zero.  A newline can end a name because every name is one newick
+label token, which holds no whitespace, and UTF-8 never puts the byte
+0x0A inside a multi-byte character.  Version 1, with a varint record
+per label, is not read.
 
 Decoding validates everything it touches: magic, version, flag bits,
 truncation at each step, pad bits, structural validity of the bit
-vector, label indexes and duplicates, and trailing garbage.  Encoding
-and decoding both accept only what write_newick can write back as the
-same tree: no internal node has a single child, every leaf has a name,
-every name is one non-empty newick label token, no name sits on two
-nodes, and every weight is finite.  The contract is decode(encode(x))
-== x down to the bit, and encode raises where decode would.
+vector, the bitmap against the label count, UTF-8, and trailing
+garbage.  Encoding and decoding both accept only what write_newick can
+write back as the same tree: no internal node has a single child, every
+leaf has a name, every name is one non-empty newick label token, no name
+sits on two nodes, and every weight is finite.  The contract is
+decode(encode(x)) == x down to the bit, and encode raises where decode
+would.
 """
 
 import struct
@@ -27,19 +33,12 @@ from .bp import BpTree, subtree_sizes
 from .newick import _LABEL, LabelTable, TreePair
 
 MAGIC = b"SBPT"
-VERSION = 1
+VERSION = 2
 _FLAG_WEIGHTS = 1
 
 
 class PackError(ValueError):
     """Corrupt or unsupported packed-tree bytes."""
-
-
-def _varint(out: bytearray, x: int):
-    while x > 0x7F:
-        out.append((x & 0x7F) | 0x80)
-        x >>= 7
-    out.append(x)
 
 
 class _Reader:
@@ -56,17 +55,12 @@ class _Reader:
         self.pos += k
         return b
 
-    def varint(self, what):
-        x = 0
-        shift = 0
-        while True:
-            b = self.take(1, what)[0]
-            x |= (b & 0x7F) << shift
-            if not b & 0x80:
-                return x
-            shift += 7
-            if shift > 63:
-                raise PackError(f"overlong varint in {what}")
+    def bits(self, m, what):
+        """The next ceil(m/8) bytes as m bits, a 0/1 uint8 array."""
+        raw = bytes(self.take((m + 7) // 8, what))
+        if m % 8 and raw[-1] & (0xFF >> m % 8):
+            raise PackError(f"nonzero padding bits in {what}")
+        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=m)
 
 
 def _check_writable(bits, names, w):
@@ -110,21 +104,16 @@ def pack(tree: BpTree, labels: LabelTable, weights=None) -> bytes:
             raise ValueError(f"weight vector must have length {n}")
     _check_writable(tree.to01(), names, w)
 
+    labelled = np.array([name is not None for name in names])
     out = bytearray(MAGIC)
     out.append(VERSION)
     out.append(_FLAG_WEIGHTS if w is not None else 0)
     out += struct.pack("<Q", n)
     out += tree.packed_bytes
-
-    entries = [(i, name) for i, name in enumerate(names, 1)
-               if name is not None]
-    out += struct.pack("<I", len(entries))
-    for i, name in entries:
-        _varint(out, i)
-        raw = name.encode("utf-8")
-        _varint(out, len(raw))
-        out += raw
-
+    out += struct.pack("<I", int(labelled.sum()))
+    out += np.packbits(labelled).tobytes()
+    out += "".join(name + "\n" for name in names
+                   if name is not None).encode("utf-8")
     if w is not None:
         out += w.tobytes()
     return bytes(out)
@@ -145,34 +134,27 @@ def unpack(data: bytes):
     if n == 0:
         raise PackError("node count is zero")
 
-    m = 2 * n
-    nbytes = (m + 7) // 8
-    raw = bytes(r.take(nbytes, "bit vector"))
-    pad = nbytes * 8 - m
-    if pad and raw[-1] & ((1 << pad) - 1):
-        raise PackError("nonzero padding bits")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:m]
+    bits = r.bits(2 * n, "bit vector")
     try:
         tree = BpTree(bits)
     except ValueError as e:
         raise PackError(f"bit vector is not a tree: {e}") from None
 
     (count,) = struct.unpack("<I", r.take(4, "label count"))
-    if count > n:
-        raise PackError("label count exceeds node count")
+    labelled = np.flatnonzero(r.bits(n, "label bitmap")).tolist()
+    if len(labelled) != count:
+        raise PackError(f"label bitmap marks {len(labelled)} nodes, "
+                        f"label count is {count}")
+    parts = bytes(data[r.pos:]).split(b"\n", count)
+    if len(parts) <= count:
+        raise PackError("truncated label bytes")
+    r.pos = len(data) - len(parts[-1])
     names = [None] * n
-    for _ in range(count):
-        i = r.varint("label index")
-        if not 1 <= i <= n:
-            raise PackError(f"label index {i} out of range")
-        if names[i - 1] is not None:
-            raise PackError(f"duplicate label for node {i}")
-        ln = r.varint("label length")
+    for i, raw in zip(labelled, parts):
         try:
-            name = bytes(r.take(ln, "label bytes")).decode("utf-8")
+            names[i] = raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise PackError(f"label for node {i} is not UTF-8") from None
-        names[i - 1] = name
+            raise PackError(f"label for node {i + 1} is not UTF-8") from None
 
     w = None
     if flags & _FLAG_WEIGHTS:

@@ -368,14 +368,19 @@ def test_unpack_corrupt(tmp_path):
     p.write_bytes(b"not a packed tree")
     assert run_cli("unpack", str(p)).returncode == 2
     # trees write_newick cannot write back: a leaf with no label, and
-    # "(A);", whose root has one child (bits 1100)
+    # "(A);", whose root has one child (bits 1100); and "((A,B),C);" in
+    # the version-1 layout, whose labels were varint records
     tree = parse_tree("((A,B),C);")[0]
-    unnamed = (b"SBPT\x01\x00" + (5).to_bytes(8, "little")
+    unnamed = (b"SBPT\x02\x00" + (5).to_bytes(8, "little")
                + tree.packed_bytes + (2).to_bytes(4, "little")
-               + b"\x04\x01B\x05\x01C")
-    unary = (b"SBPT\x01\x00" + (2).to_bytes(8, "little") + b"\xc0"
-             + (1).to_bytes(4, "little") + b"\x02\x01A")
-    for data, what in ((unnamed, "leaf 3"), (unary, "node 1")):
+               + bytes([0b00011000]) + b"B\nC\n")
+    unary = (b"SBPT\x02\x00" + (2).to_bytes(8, "little") + b"\xc0"
+             + (1).to_bytes(4, "little") + bytes([0b01000000]) + b"A\n")
+    v1 = (b"SBPT\x01\x00" + (5).to_bytes(8, "little")
+          + tree.packed_bytes + (3).to_bytes(4, "little")
+          + b"\x03\x01A\x04\x01B\x05\x01C")
+    for data, what in ((unnamed, "leaf 3"), (unary, "node 1"),
+                       (v1, "unsupported version 1")):
         p.write_bytes(data)
         r = run_cli("unpack", str(p))
         assert r.returncode == 2 and what in r.stderr, r.stderr

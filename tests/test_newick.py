@@ -56,6 +56,14 @@ def test_labels_by_preorder_index():
     assert labels.name_of(10) == "F"
 
 
+def test_name_of_out_of_range():
+    # a negative list index would read from the end
+    labels = parse_tree(T4)[1]
+    for i in (0, -1, 11):
+        with pytest.raises(IndexError):
+            labels.name_of(i)
+
+
 def test_code_map_frozen():
     pair = parse_pair(T4, T5)
     assert pair.mode == "leaf"

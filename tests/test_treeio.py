@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bprf.bp import BpTree
-from bprf.cli import generate_pair_texts
+from bprf.cli import generate_pair_texts, generate_tree_text
 from bprf.newick import LabelTable, TreePair, parse_pair, parse_tree, \
     write_newick
 from bprf.treeio import PackError, SizeReport, pack, size_report, unpack
@@ -25,13 +25,17 @@ def test_pack_layout_t4():
     tree, labels, _ = parse_tree(T4)
     data = pack(tree, labels)
     assert data[:4] == b"SBPT"
-    assert data[4] == 1
+    assert data[4] == 2
     assert data[5] == 0
     assert struct.unpack("<Q", data[6:14])[0] == 10
     # 20 bits in exactly 3 bytes, 4 zero pad bits at the tail
     assert data[_HEADER:_HEADER + 3] == bytes([0b11110100, 0b10011010,
                                                0b10000000])
     assert struct.unpack("<I", data[_HEADER + 3:_HEADER + 7])[0] == 6
+    # leaves 4, 5, 6, 8, 9, 10 at bits 3..5 and 7..9, 6 zero pad bits;
+    # then their names in pre-order, each ended by a newline
+    assert data[_HEADER + 7:] == bytes([0b00011101, 0b11000000]) \
+        + b"A\nB\nC\nD\nE\nF\n"
 
 
 def test_roundtrip_t4():
@@ -162,14 +166,21 @@ def test_unpack_errors():
             unpack(pack(tree, labels, bad))
 
 
+def _v2(bits, names):
+    """Unweighted version-2 bytes built by hand, with no checks: bits a
+    0/1 string, names a name or None per node in pre-order."""
+    labelled = [name is not None for name in names]
+    return (b"SBPT" + bytes([2, 0]) + struct.pack("<Q", len(names))
+            + np.packbits([int(c) for c in bits]).tobytes()
+            + struct.pack("<I", sum(labelled))
+            + np.packbits(labelled).tobytes()
+            + "".join(x + "\n" for x in names if x is not None).encode())
+
+
 def test_unpack_rejects_non_tree_bits():
     # "1010" drops to depth zero mid-sequence: a two-tree forest
-    data = bytearray()
-    data += b"SBPT" + bytes([1, 0]) + struct.pack("<Q", 2)
-    data.append(0b10100000)
-    data += struct.pack("<I", 0)
     with pytest.raises(PackError, match="not a tree"):
-        unpack(bytes(data))
+        unpack(_v2("1010", ["A", "B"]))
 
     # a node with one child, which the parser rejects: "1100" with leaf A
     # once unpacked and was written back as "(A);"
@@ -178,39 +189,45 @@ def test_unpack_rejects_non_tree_bits():
             ("11100100", [None, None, "A", "B"], 2),          # ((A),B);
             ("111101000100", [None, None, None, "A", "B", "C"], 2),
             ("111011000100", [None, None, "A", None, "B", "C"], 4)):
-        data = bytearray(b"SBPT" + bytes([1, 0])
-                         + struct.pack("<Q", len(names)))
-        data += np.packbits([int(c) for c in bits]).tobytes()
-        data += struct.pack("<I", len(names) - names.count(None))
-        for i, name in enumerate(names, 1):
-            if name is not None:
-                data += bytes([i, 1]) + name.encode()
         with pytest.raises(PackError, match=f"node {node} has a single "
                                             "child"):
-            unpack(bytes(data))
+            unpack(_v2(bits, names))
 
 
 def test_unpack_rejects_bad_label_block():
     good = _valid_bytes()
-    head, rest = good[:_HEADER + 2], good[_HEADER + 2:]
-    count = struct.unpack("<I", rest[:4])[0]
+    assert good == _v2("1110100100", [None, None, "A", "B", "C"])
+    bitmap = _HEADER + 2 + 4  # 10 bits in 2 bytes, then the count
 
-    # label index out of range: node 9 of a 5-node tree
+    # a pad bit of the bitmap: 5 nodes -> 3 pad bits
     bad = bytearray(good)
-    bad[_HEADER + 2 + 4] = 9
-    with pytest.raises(PackError, match="out of range"):
+    bad[bitmap] |= 1
+    with pytest.raises(PackError, match="padding bits in label bitmap"):
         unpack(bytes(bad))
 
-    # two labels pointing at one node
-    entries = rest[4:]
-    doctored = head + struct.pack("<I", count + 1) + entries + entries[:3]
-    with pytest.raises(PackError, match="duplicate"):
-        unpack(doctored)
+    # a bitmap that marks one node more or one fewer than the count
+    for count, marked in ((2, 3), (4, 3)):
+        bad = bytearray(good)
+        bad[bitmap - 4:bitmap] = struct.pack("<I", count)
+        with pytest.raises(PackError, match=f"label bitmap marks {marked} "
+                                            f"nodes, label count is "
+                                            f"{count}"):
+            unpack(bytes(bad))
+    bad = bytearray(good)
+    bad[bitmap] |= 0x80
+    with pytest.raises(PackError, match="marks 4 nodes, label count is 3"):
+        unpack(bytes(bad))
 
-    # one name on two nodes: B's entry renamed A
-    assert good.count(b"\x04\x01B") == 1
+    # fewer newlines than labels
+    assert good.endswith(b"C\n")
+    for cut in (1, 2, 4):
+        with pytest.raises(PackError, match="truncated label bytes"):
+            unpack(good[:-cut])
+
+    # one name on two nodes: B renamed A
+    assert good.count(b"B\n") == 1
     with pytest.raises(PackError, match="label 'A' repeated on node 4"):
-        unpack(good.replace(b"\x04\x01B", b"\x04\x01A"))
+        unpack(good.replace(b"B\n", b"A\n"))
 
     # names write_newick could not write back as the same tree: once
     # these unpacked, and the text was rejected, misread, or changed
@@ -226,6 +243,36 @@ def test_unpack_rejects_bad_label_block():
                         (["R", "X", None, None, "C"], "leaf 3 has no label")):
         with pytest.raises(PackError, match=what):
             unpack(pack(tree, LabelTable(names)))
+        with pytest.raises(PackError, match=what):
+            unpack(_v2("1110100100", names))
+
+
+def test_unpack_rejects_non_utf8_label():
+    good = _valid_bytes()
+    for old, new, node in ((b"B\n", b"\xff\n", 4),
+                           (b"A\n", b"A\xc3\n", 3),   # cut short by \n
+                           (b"C\n", b"\xe2\x82C\n", 5)):
+        with pytest.raises(PackError, match=f"label for node {node} is "
+                                            "not UTF-8"):
+            unpack(good.replace(old, new))
+
+
+def test_unpack_rejects_version_1():
+    # "((A,B),C);" in the version-1 layout: per label a varint node
+    # index, a varint byte length and the bytes
+    tree = parse_tree("((A,B),C);")[0]
+    v1 = (b"SBPT\x01\x00" + struct.pack("<Q", 5) + tree.packed_bytes
+          + struct.pack("<I", 3) + b"\x03\x01A\x04\x01B\x05\x01C")
+    with pytest.raises(PackError, match="unsupported version 1"):
+        unpack(v1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pack_smaller_than_text(seed):
+    # the file is the succinct form of the text, so it must not be larger
+    for args in ((10_000, seed), (10_000, seed, "random", True, True)):
+        text = generate_tree_text(*args)
+        assert len(pack(*parse_tree(text))) < len(text.encode())
 
 
 def _rounding(bits):
