@@ -17,6 +17,7 @@ trees of a comparison.  Unary chains would collapse duplicate clusters
 into one key; the strict parser rejects them.
 """
 
+import math
 from dataclasses import dataclass
 
 from .distance import METRICS, DistanceResult, OpCounts
@@ -118,18 +119,23 @@ def naive_clusters(root: PlainNode, mode: str = "leaf",
 
 def naive_distance(cs1: ClusterSet, cs2: ClusterSet, metric: str):
     """Literal set algebra: symmetric-difference count, or the sum of
-    absolute weight differences with absent clusters at weight zero."""
+    absolute weight differences with absent clusters at weight zero,
+    taken in fractions and rounded once (inf past the float range)."""
     a, b = cs1.entries, cs2.entries
     if not METRICS[metric][1]:
         return (sum(1 for k in a if k not in b)
                 + sum(1 for k in b if k not in a))
-    total = 0.0
+    from fractions import Fraction  # not loaded by bprf dist
+    total = Fraction(0)
     for k, w in a.items():
-        total += abs(w - b.get(k, 0.0))
+        total += abs(Fraction(w) - Fraction(b.get(k, 0.0)))
     for k, w in b.items():
         if k not in a:
-            total += abs(w)
-    return total
+            total += abs(Fraction(w))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
 
 
 def naive_metric(text1: str, text2: str, metric: str):

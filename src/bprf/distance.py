@@ -33,16 +33,16 @@ results count the clusters of either tree that the other lacks; in leaf
 mode the singletons cancel, so only internal clusters count there.  The
 root always matches because both trees span the same label set.  Weighted
 results are the sum of |w1(c) - w2(c)| over all clusters c, a cluster
-missing from a tree weighing 0 there.  One math.fsum adds |w| for every
+missing from a tree weighing 0 there.  One exact sum adds |w| for every
 weight of both trees and -min(|w1(c)|, |w2(c)|), twice, for every shared
 cluster whose two weights have the same sign; weights of opposite signs
-cost |w1(c)| + |w2(c)| as they stand.  The terms become Python floats
-one fixed-size chunk at a time, so the sum never holds n of them at
-once.  Every term is exact and fsum rounds the exact sum once, which
-makes the identity exactly 0.0 and the result exactly symmetric and
-never negative.  When a partial sum leaves the float range, the same
-terms are summed as fractions and rounded once, to inf if the sum
-itself lies past the range.  Shared clusters are captured in tree 1's
+cost |w1(c)| + |w2(c)| as they stand.  Every term is an integer below
+2**54 times a power of two; the integers are added per exponent in
+int64, one fixed-size chunk of terms at a time, so the sum never holds n
+of them at once.  The bins fold into one Python int, and one int
+division rounds the exact sum once, to inf if it lies past the float
+range.  That makes the identity exactly 0.0 and the result exactly
+symmetric and never negative.  Shared clusters are captured in tree 1's
 closing order.
 
 "postorder" and "nextsibling", the names of two earlier tree-1 walks,
@@ -55,7 +55,6 @@ and num_leaves stay 0.
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -67,7 +66,7 @@ from .newick import ModeError, TreePair
 METRICS = {"rf": ("leaf", False), "erf": ("full", False),
            "wrf": ("leaf", True), "werf": ("full", True)}
 IMPLS = ("postorder", "nextsibling")
-_CHUNK = 1 << 16  # floats made at once for the weighted sum
+_CHUNK = 1 << 13  # weighted-sum terms read at once
 
 
 @dataclass
@@ -109,22 +108,33 @@ def _require(pair: TreePair, metric: str):
         raise ModeError(f"metric '{metric}' needs weights on the pair")
 
 
-def _fraction_sum(terms) -> float:
-    """The exact sum of finite floats, rounded once; inf past the float
-    range.  Only sums whose partial sums overflow fsum come here."""
-    from fractions import Fraction
-    total = sum(map(Fraction, terms))
+def _exact_sum(w1, w2, low) -> float:
+    """sum(|w1|) + sum(|w2|) - 2 * sum(low), exact and rounded once; inf
+    when that lies past the float range.
+
+    Every finite double is M * 2**(e - 53), M an integer below 2**53 and
+    e >= -1073.  The three arrays are read as one run, _CHUNK terms at a
+    time, and low's M are negated and doubled.  Each M is split at bit
+    26 and both halves are added per exponent in int64, where n halves
+    stay exact while n < 2**35.  The bins then fold into one integer."""
+    bins = np.zeros(2098 + 26, np.int64)  # bin k weighs 2**(k - 1126)
+    run = (w1, w2, low)
+    starts = (0, w1.size, w1.size + w2.size)
+    for i in range(0, starts[2] + low.size, _CHUNK):
+        parts = [a[max(i - s, 0):max(i + _CHUNK - s, 0)]
+                 for a, s in zip(run, starts)]
+        m, e = np.frexp(np.concatenate(parts))
+        mant = np.ldexp(np.abs(m), 53).astype(np.int64)
+        mant[m.size - parts[2].size:] *= -2
+        e += 1073
+        np.add.at(bins[26:], e, mant >> 26)
+        np.add.at(bins[:2098], e, mant & 0x3FFFFFF)
+    k = np.flatnonzero(bins)
+    total = sum(c << j for j, c in zip(k.tolist(), bins[k].tolist()))
     try:
-        return float(total)
+        return total / (1 << 1126)   # int division rounds correctly
     except OverflowError:
         return math.inf
-
-
-def _floats(a, f):
-    """f(a) as Python floats, made _CHUNK at a time: a sum over them never
-    holds more than one chunk's list."""
-    return chain.from_iterable(f(a[i:i + _CHUNK]).tolist()
-                               for i in range(0, a.size, _CHUNK))
 
 
 def _extremes(vals, lo, hi):
@@ -236,14 +246,7 @@ def _sweep(pair: TreePair, metric: str, impl: str,
         same = (a < 0) == (b < 0)
         low = np.minimum(np.abs(a), np.abs(b))[same]
 
-        def terms():
-            return chain(_floats(pair.w1, np.abs), _floats(pair.w2, np.abs),
-                         _floats(low, np.negative),
-                         _floats(low, np.negative))
-        try:
-            raw = math.fsum(terms())
-        except OverflowError:
-            raw = _fraction_sum(terms())
+        raw = _exact_sum(pair.w1, pair.w2, low)
         halved = None
     else:
         shared = int(leaf_image.sum() if extended else pair.n_slots) + ps.size

@@ -92,20 +92,16 @@ def test_criterion_2_oracle_equivalence():
                             assert got == naive_metric(a, b, "rf")
                         elif not full:
                             got = wrf(pair).raw
-                            want = naive_metric(a, b, "wrf")
-                            assert abs(got - want) < 1e-9
-                            assert abs(wrf(pair, impl="nextsibling").raw
-                                       - want) < 1e-9
+                            assert got == naive_metric(a, b, "wrf")
+                            assert got == wrf(pair, impl="nextsibling").raw
                         elif not weighted:
                             got = erf(pair).raw
                             assert got == erf(pair, impl="nextsibling").raw
                             assert got == naive_metric(a, b, "erf")
                         else:
                             got = werf(pair).raw
-                            want = naive_metric(a, b, "werf")
-                            assert abs(got - want) < 1e-9
-                            assert abs(werf(pair, impl="nextsibling").raw
-                                       - want) < 1e-9
+                            assert got == naive_metric(a, b, "werf")
+                            assert got == werf(pair, impl="nextsibling").raw
                     cfg_index += 1
         assert cfg_index == 8
         assert time.perf_counter() - t0 < 60.0

@@ -1,7 +1,9 @@
 """Distance engine tests: frozen values, oracle agreement, invariants."""
 
+import math
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,7 +72,7 @@ def test_wrf_frozen():
         assert r.raw == pytest.approx(10.0, abs=1e-12)
         assert r.halved is None
         assert r.value == r.raw
-    assert naive_metric(w1, w2, "wrf") == pytest.approx(10.0, abs=1e-12)
+    assert naive_metric(w1, w2, "wrf") == 10.0
 
 
 def test_werf_frozen():
@@ -185,8 +187,8 @@ def test_weights_near_float_max():
 
 
 def test_weighted_sum_same_in_small_chunks(monkeypatch):
-    # the weighted sum makes its floats a chunk at a time; chunks of two
-    # give the same bits, on the fraction path too
+    # the weighted sum reads its terms a chunk at a time; chunks of two
+    # give the same bits, for a sum past the float range too
     texts = [("((A:1,B:1):1e308,(C:1,D:1):1e308);",
               "((A:1,C:1):1e308,(B:1,D:1):1.5e308);", "leaf")]
     for full in (False, True):
@@ -238,11 +240,53 @@ def test_signed_weights_match_oracle():
         c = to_newick(other, weights=True)
         for x, y in ((a, b), (b, a), (a, c), (c, a)):
             got = compute(parse_pair(x, y, mode=mode, weighted=True), metric)
-            assert got.raw == pytest.approx(naive_metric(x, y, metric),
-                                            abs=1e-9)
+            assert got.raw == naive_metric(x, y, metric)
             assert got.raw >= 0
         same = parse_pair(a, a, mode=mode, weighted=True)
         assert compute(same, metric).raw == 0.0
+
+
+# finite doubles of either sign from the whole range and its edges, and
+# 53-bit integers times small powers of two, whose sums must round
+_WIDE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e308,
+                     -1e308, 1.7976931348623157e308, 2.2250738585072014e-308]),
+    st.builds(math.ldexp, st.integers(-2**53, 2**53), st.integers(-60, 9)),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, distance._CHUNK])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.booleans(),
+       st.booleans(), st.data())
+def test_weighted_bits_equal_oracle(chunk, seed, n, full, related, data):
+    """Signed weights from 5e-324 to 1.8e308 give the exact oracle's
+    bits in both orders, whatever the chunk; identity is exactly 0.0."""
+    from conftest import count_internal, to_newick
+    metric = "werf" if full else "wrf"
+    mode = "full" if full else "leaf"
+    rng = random.Random(seed)
+    root, nodes = _signed_tree(rng, n, full)
+    for v in nodes[1:]:
+        v.weight = data.draw(_WIDE)
+    a = to_newick(root, weights=True)
+    if not related:
+        root, nodes = _signed_tree(rng, n, full,
+                                   count_internal(root) if full else None)
+    for v in nodes:
+        rng.shuffle(v.children)
+    for v in nodes[1:]:
+        if not related or data.draw(st.booleans()):
+            v.weight = data.draw(_WIDE)
+    b = to_newick(root, weights=True)
+    with mock.patch.object(distance, "_CHUNK", chunk):
+        for x, y in ((a, b), (b, a)):
+            pair = parse_pair(x, y, mode=mode, weighted=True)
+            want = naive_metric(x, y, metric).hex()
+            for impl in ("postorder", "nextsibling"):
+                assert compute(pair, metric, impl).raw.hex() == want
+        same = parse_pair(a, a, mode=mode, weighted=True)
+        assert compute(same, metric).raw.hex() == "0x0.0p+0"
 
 
 def test_weighted_parse_needs_weights():
@@ -355,10 +399,9 @@ def test_weighted_oracle_agreement(seed, n_leaves, arity, full, crossed):
     pair = parse_pair(a, b, mode="full" if full else "leaf", weighted=True)
     want = naive_metric(a, b, metric)
     got = compute(pair, metric)
-    assert got.raw == pytest.approx(want, abs=1e-9)
-    assert compute(pair, metric, "nextsibling").raw == \
-        pytest.approx(want, abs=1e-9)
-    assert got.raw >= -1e-9
+    assert got.raw == want
+    assert compute(pair, metric, "nextsibling").raw == want
+    assert got.raw >= 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -384,7 +427,7 @@ def test_weighted_symmetry(seed, n_leaves):
     a, b = _rng_pair(seed, n_leaves, "mixed", weights=True)
     fwd = parse_pair(a, b, weighted=True)
     rev = parse_pair(b, a, weighted=True)
-    assert wrf(fwd).raw == pytest.approx(wrf(rev).raw, abs=1e-9)
+    assert wrf(fwd).raw == wrf(rev).raw
 
 
 @settings(max_examples=25, deadline=None)
@@ -439,7 +482,7 @@ def test_wrf_unit_internal_weights_equals_raw_rf(seed, n_leaves):
     b = to_newick(roots[1], weights=True)
     raw = rf_postorder(parse_pair(a, b)).raw
     value = wrf(parse_pair(a, b, weighted=True)).raw
-    assert value == pytest.approx(raw, abs=1e-9)
+    assert value == raw
 
 
 def test_cluster_set_sizes():
@@ -568,6 +611,24 @@ def test_distance_peak_holds_one_copy_of_the_ranks(full, metric, bound):
     assert peak * 8 / pair.n < bound
 
 
+def test_weighted_distance_peak_holds_one_chunk():
+    # the weighted sum reads its terms _CHUNK at a time.  With the pair
+    # held, the werf call adds about 313.6 bits/node at 30k leaves, the
+    # unweighted sweep's own peak; chunks of 2**16 terms give 520.4 and
+    # a sum that holds every term at once 740.2
+    a, b = generate_pair_texts(30_000, 3, full=True, weights=True)
+    tracemalloc.start()
+    try:
+        pair = parse_pair(a, b, "full", weighted=True)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        compute(pair, "werf")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - held) * 8 / pair.n < 490
+
+
 def test_near_pair_10k_all_metrics():
     """A 10k-leaf tree against a relabelled copy: most clusters are
     candidates, some fail confirmation, and every metric under both
@@ -584,7 +645,7 @@ def test_near_pair_10k_all_metrics():
             want = naive_metric(a, b, metric)
             for impl in ("postorder", "nextsibling"):
                 r = compute(pair, metric, impl, capture=True)
-                assert r.raw == pytest.approx(want, abs=1e-9)
+                assert r.raw == want
                 assert r.common == want_common
                 assert r.equal_clusters == len(want_common)
                 assert _probes(r) > r.equal_clusters
