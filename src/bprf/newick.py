@@ -12,8 +12,10 @@ Each text is read by one of two passes.  The accepting pass,
 _fast_scan, works on the text's bytes with numpy: a class table finds
 the tokens, a table of which token may follow which and a running depth
 check the grammar, and one stable sort of the brackets and commas by
-depth pairs every ')' with its '(' and finds single-child nodes.  It
-either accepts the text, with every check the error pass makes, or
+depth pairs every ')' with its '(' and finds single-child nodes.  Read
+in leaf mode unweighted, as rf reads it, a text's labels and weights
+are not placed on their nodes, and its weight literals are only checked.
+It either accepts the text, with every check the error pass makes, or
 gives up; it never reports an error.  It reads the text's UTF-8 bytes,
 a byte from 0x80 up being part of a label.  It gives up on a whitespace
 character that is not ASCII and on a weight literal that is not ASCII,
@@ -372,10 +374,11 @@ def _fast_scan(text, mode=None, weighted=False):
     order, is the bytes data[start[k]:start[k] + length[k]], and at[k]
     is its node's pre-order index; all three are int32.  weights is as
     _scan's: a chunk of literals of one shape is read by _decimals, any
-    other by _NUMBERS and np.fromstring.  mode "leaf" gives up on an
+    other by _NUMBERS and np.fromstring.  In leaf mode at is None, and
+    unless weighted the weights too: no node index is built, and every
+    literal is checked but not placed.  mode "leaf" gives up on an
     internal label and "full" on an unlabelled node; weighted gives up
-    on a text with no weight.  Repeated labels are the caller's to
-    find."""
+    on a text with no weight.  Repeated labels are the caller's to find."""
     if not text.isascii() and _WIDE_SPACE.search(text):
         return None
     raw = text.encode("utf-8", "surrogatepass")
@@ -431,39 +434,45 @@ def _fast_scan(text, mode=None, weighted=False):
     del bk
     if ((sk[:-1] == _OPEN) & (sk[1:] == _CLOSE)).any():
         return None
-    oc = _pick(order, sk != _COMMA)
+    place = mode != "leaf" or weighted
+    oc = _pick(order, sk != _COMMA) if place else None
     del order, sk
 
-    # pre-order index of each token's node: a '(' or a leaf opens the next
-    # one, a ')' is its '(''s, an internal label its ')''s and a weight
-    # the token's before it
     is_lab = kinds == _LAB
     internal = np.zeros(kinds.size, bool)
     internal[1:] = is_lab[1:] & (kinds[:-1] == _CLOSE)
     if mode == "leaf" and internal.any():
         return None
     node = (kinds == _OPEN) | (is_lab ^ internal)
-    cur = np.add.accumulate(node, dtype=np.int32)
-    n = int(cur[-1])
-    cb = _pick(cur, sel)
-    cb[oc[1::2]] = cb[oc[0::2]]
-    cur[sel] = cb
-    del sel, cb, oc
-    # no target is a source: a ')' is no internal label, no ':' follows a ':'
-    i = internal.nonzero()[0]
-    cur[i] = cur[i - 1]
-    colon = kinds == _COLON
-    i = colon.nonzero()[0]
-    cur[i] = cur[i - 1]
-    n_lab = int(np.count_nonzero(is_lab))
-    if mode == "full" and n_lab != n:
+    n = int(np.count_nonzero(node))
+    if mode == "full" and np.count_nonzero(is_lab) != n:
         return None
-    at, w_at = _pick(cur, is_lab), _pick(cur, colon)
+    colon = kinds == _COLON
+    # every ':' owns the literal right after it
+    if np.count_nonzero(is_w) != np.count_nonzero(colon) or (
+            weighted and not is_w.any()):
+        return None
+    at = w_at = None
+    if place:
+        # pre-order index of each token's node: a '(' or a leaf opens the
+        # next one, a ')' is its '(''s, an internal label its ')''s and a
+        # weight the token's before it
+        cur = np.add.accumulate(node, dtype=np.int32)
+        cb = _pick(cur, sel)
+        cb[oc[1::2]] = cb[oc[0::2]]
+        cur[sel] = cb
+        del cb, oc
+        # no target is a source: a ')' is no label, no ':' follows a ':'
+        for i in internal.nonzero()[0], colon.nonzero()[0]:
+            cur[i] = cur[i - 1]
+        at = None if mode == "leaf" else _pick(cur, is_lab)
+        w_at = _pick(cur, colon)
+        del cur
 
     # every node writes its opening bit, then its closing bit; a '(' writes
     # only the first and a ')' only the second, 2 marks the bit not written
     s = _pick(kinds, node | (kinds == _CLOSE))
-    del kinds, is_lab, internal, node, cur, colon, i  # before the labels exist
+    del kinds, sel, is_lab, internal, node, colon  # before the labels exist
     emit = np.empty((s.size, 2), np.uint8)
     emit[:, 0] = s == _CLOSE
     emit[:, 0] += 1
@@ -473,18 +482,12 @@ def _fast_scan(text, mode=None, weighted=False):
     bits = _pick(emit, emit < 2)
     del s, emit
 
-    # every ':' owns the literal right after it
-    if np.count_nonzero(is_w) != w_at.size or weighted and not w_at.size:
-        return None
-    w = None
-    if w_at.size:
-        w = np.zeros(n)
-        start, length = run[is_w], run_len[is_w] + 1
-        for lo, hi in _chunks(start, length):
-            v = _decimals(data, start[lo:hi], length[lo:hi] - 1)
-            if v is not None:
-                w[w_at[lo:hi] - 1] = v
-                continue
+    # every literal is checked, the root's included, placed or not
+    w = np.zeros(n) if w_at is not None and w_at.size else None
+    start, length = run[is_w], run_len[is_w] + 1
+    for lo, hi in _chunks(start, length):
+        v = _decimals(data, start[lo:hi], length[lo:hi] - 1)
+        if v is None:
             # the literals, each with the byte that ends it made a ','
             at_byte, lead = _spans(start[lo:hi], length[lo:hi])
             joined = data.take(at_byte)
@@ -493,10 +496,13 @@ def _fast_scan(text, mode=None, weighted=False):
             joined = joined[:-1].tobytes()
             if not _NUMBERS.match(joined):
                 return None
-            w[w_at[lo:hi] - 1] = np.fromstring(joined, sep=",")
+            v = np.fromstring(joined, sep=",")
             del joined
-        if not np.isfinite(w).all():
-            return None
+            if not np.isfinite(v).all():
+                return None
+        if w is not None:
+            w[w_at[lo:hi] - 1] = v
+    if w is not None:
         w[0] = 0.0  # the root's weight is discarded
     is_w ^= True
     return bits, data, run[is_w], run_len[is_w], at, w
@@ -679,15 +685,13 @@ def _fast_pair(text1, text2, mode, weighted):
     longer labels, whose keys are hashes, are checked for equal length
     and then byte for byte, a chunk of tree 2's long labels at a time.
     While tree 2 is read, tree 1 holds its bits, its bytes, its label
-    spans, its weights, its sorted keys with their order and, in full
-    mode only, its labels' nodes."""
+    spans, its sorted keys with their order, its weights unless read in
+    leaf mode unweighted, and in full mode only its labels' nodes."""
     scan = _fast_scan(text1, mode, weighted)
     if scan is None:
         return None
     bits1, data1, start1, len1, at1, w1 = scan
     del scan
-    if mode == "leaf":
-        del at1
     h1 = _labels(data1, start1, len1)[0]
     o1 = h1.argsort().astype(np.int32)
     h1 = h1[o1]

@@ -166,6 +166,15 @@ def test_parse_errors(text, offset, what):
         parse_tree(text)
     assert ei.value.offset == offset
     assert what in str(ei.value)
+    # an rf read places no label or weight on its node, and still checks
+    # every literal, the root's included
+    for k, pair in ((1, (text, "(A,B);")), (2, ("(A,B);", text))):
+        with pytest.raises(ParseError) as ei:
+            parse_pair(*pair, "leaf", False)
+        assert (ei.value.tree_index, ei.value.offset) == (k, offset)
+        assert what in str(ei.value)
+    if what == "not finite":
+        assert newick._fast_scan(text, "leaf") is None
 
 
 # a node with one child repeats its child's cluster; such inputs once gave
@@ -555,16 +564,21 @@ def test_fast_path_taken(full, weights):
     # same pass, and come out as the error pass reads them
     wide = [t.replace("L", "Lé").replace("I", "Iλ木🌲")
             for t in (text, a, b)]
-    for t, u, v in ((text, a, b), wide):
-        assert newick._fast_scan(t) is not None
-        assert newick._fast_scan(t, mode, weights) is not None
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(newick, "_scan", None)  # any fallback fails the test
-            parse_pair(u, v, mode, weights)
-            parse_tree(t)
-    fast, slow = _both_passes(parse_pair, *wide[1:], mode=mode,
-                              weighted=weights)
-    assert fast == slow
+    # weighted files are read unweighted too, as rf and erf read them
+    for weighted in {weights, False}:
+        for t, u, v in ((text, a, b), wide):
+            assert newick._fast_scan(t) is not None
+            scan = newick._fast_scan(t, mode, weighted)
+            assert scan is not None
+            if not (full or weighted):  # no node index: nothing placed
+                assert scan[4] is None and scan[5] is None
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(newick, "_scan", None)  # any fallback fails
+                parse_pair(u, v, mode, weighted)
+                parse_tree(t)
+        fast, slow = _both_passes(parse_pair, *wide[1:], mode=mode,
+                                  weighted=weighted)
+        assert fast == slow
     fast, slow = _both_passes(parse_tree, wide[0])
     assert fast == slow
     assert "Lé1" in parse_tree(wide[0])[1]._names
