@@ -3,7 +3,6 @@
 from .bp import BpTree
 from .newick import (
     LabelMismatchError,
-    LabelTable,
     ModeError,
     ParseError,
     TreePair,
@@ -11,16 +10,7 @@ from .newick import (
     parse_tree,
     write_newick,
 )
-from .distance import (
-    DistanceResult,
-    OpCounts,
-    compute,
-    erf,
-    rf_nextsibling,
-    rf_postorder,
-    werf,
-    wrf,
-)
+from .distance import DistanceResult, OpCounts, compute
 from .baseline import day_rf, naive_metric
 from .treeio import PackError, SizeReport, pack, size_report, unpack
 
@@ -28,7 +18,6 @@ __all__ = [
     "BpTree",
     "DistanceResult",
     "LabelMismatchError",
-    "LabelTable",
     "ModeError",
     "OpCounts",
     "PackError",
@@ -37,16 +26,11 @@ __all__ = [
     "TreePair",
     "compute",
     "day_rf",
-    "erf",
     "naive_metric",
     "pack",
     "parse_pair",
     "parse_tree",
-    "rf_nextsibling",
-    "rf_postorder",
     "size_report",
     "unpack",
-    "werf",
-    "wrf",
     "write_newick",
 ]

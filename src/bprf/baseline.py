@@ -18,7 +18,6 @@ into one key; the strict parser rejects them.
 """
 
 import math
-from dataclasses import dataclass
 
 from .distance import METRICS, DistanceResult, OpCounts
 from .newick import _checked_scans, _scan
@@ -78,19 +77,10 @@ def _preorder(root):
     return order
 
 
-@dataclass
-class ClusterSet:
-    """Canonical clusters of one tree: sorted label-id tuple -> weight."""
-
-    entries: dict
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def naive_clusters(root: PlainNode, mode: str = "leaf",
-                   weighted: bool = False, ids: dict = None) -> ClusterSet:
-    """Clusters straight from the definitions.
+                   weighted: bool = False, ids: dict = None) -> dict:
+    """Canonical clusters straight from the definitions: sorted label-id
+    tuple -> weight.
 
     Leaf mode collects leaf-label sets of internal nodes, plus leaf
     singletons when weighted.  Full mode collects the label set of every
@@ -114,14 +104,14 @@ def naive_clusters(root: PlainNode, mode: str = "leaf",
         sets[id(v)] = s
         if mode == "full" or v.children or weighted:
             entries[tuple(sorted(s))] = v.weight if weighted else 0.0
-    return ClusterSet(entries)
+    return entries
 
 
-def naive_distance(cs1: ClusterSet, cs2: ClusterSet, metric: str):
-    """Literal set algebra: symmetric-difference count, or the sum of
-    absolute weight differences with absent clusters at weight zero,
-    taken in fractions and rounded once (inf past the float range)."""
-    a, b = cs1.entries, cs2.entries
+def naive_distance(a: dict, b: dict, metric: str):
+    """Literal set algebra over two naive_clusters: symmetric-difference
+    count, or the sum of absolute weight differences with absent
+    clusters at weight zero, taken in fractions and rounded once (inf
+    past the float range)."""
     if not METRICS[metric][1]:
         return (sum(1 for k in a if k not in b)
                 + sum(1 for k in b if k not in a))

@@ -200,9 +200,9 @@ def _positive_int(text):
 
 
 def cmd_pack(args):
-    tree, labels, w = parse_tree(_read(args.input))
+    tree, names, w = parse_tree(_read(args.input))
     with open(args.output, "wb") as fh:
-        fh.write(pack(tree, labels, w))
+        fh.write(pack(tree, names, w))
     if args.report:
         print(size_report(tree))
     return 0
@@ -210,8 +210,8 @@ def cmd_pack(args):
 
 def cmd_unpack(args):
     with open(args.input, "rb") as fh:
-        tree, labels, w = unpack(fh.read())
-    text = write_newick(tree, labels, w)
+        tree, names, w = unpack(fh.read())
+    text = write_newick(tree, names, w)
     if args.output == "-":
         print(text)
     else:

@@ -92,11 +92,6 @@ class DistanceResult:
     common: Optional[tuple]
     ops: OpCounts
 
-    @property
-    def value(self) -> float:
-        """What the command line prints by default."""
-        return self.raw if self.halved is None else self.halved
-
 
 def _require(pair: TreePair, metric: str):
     need, weighted = METRICS[metric]
@@ -269,33 +264,3 @@ def compute(pair: TreePair, metric: str, impl: str = "postorder",
         raise ValueError(f"unknown metric {metric!r}")
     _require(pair, metric)
     return _sweep(pair, metric, impl, capture)
-
-
-def rf_postorder(pair: TreePair, capture: bool = False) -> DistanceResult:
-    """Robinson-Foulds over leaf-labelled trees."""
-    return compute(pair, "rf", "postorder", capture)
-
-
-def rf_nextsibling(pair: TreePair, capture: bool = False) -> DistanceResult:
-    """rf_postorder under the name "nextsibling"."""
-    return compute(pair, "rf", "nextsibling", capture)
-
-
-def erf(pair: TreePair, impl: str = "postorder",
-        capture: bool = False) -> DistanceResult:
-    """Extended RF over fully-labelled trees: all nodes fold, subtree
-    sizes decide matching."""
-    return compute(pair, "erf", impl, capture)
-
-
-def wrf(pair: TreePair, impl: str = "postorder",
-        capture: bool = False) -> DistanceResult:
-    """Weighted RF over leaf-labelled trees; singletons are shared by the
-    label map, internal clusters by leaf-count matching."""
-    return compute(pair, "wrf", impl, capture)
-
-
-def werf(pair: TreePair, impl: str = "postorder",
-         capture: bool = False) -> DistanceResult:
-    """Weighted extended RF: wrf's weighted sum with erf's matching."""
-    return compute(pair, "werf", impl, capture)

@@ -5,8 +5,9 @@ opening bit, every leaf an open-close pair, every ')' a closing bit.
 Weights land in pre-order slots (slot i-1 for node i), and each label
 maps to its node's pre-order index, so nothing pointer shaped is ever
 built.  A parsed pair keeps no names: it holds the two encodings, the
-bit-packed ranks and the weights.  parse_tree keeps the names as a
-LabelTable for write_newick and pack.
+bit-packed ranks and the weights.  parse_tree keeps the names for
+write_newick and pack, as a tuple in pre-order slots like the weights':
+slot i-1 holds node i's name, or None.
 
 Each text is read by one of two passes.  The accepting pass,
 _fast_scan, works on the text's bytes with numpy: a class table finds
@@ -151,21 +152,6 @@ class ModeError(ValueError):
         super().__init__(message)
         self.offset = offset
         self.tree_index = tree_index
-
-
-class LabelTable:
-    """The names of one tree's nodes, by pre-order index."""
-
-    __slots__ = ("_names",)
-
-    def __init__(self, names):
-        self._names = names
-
-    def name_of(self, i: int):
-        """Label of node i, or None; IndexError outside 1..n."""
-        if i < 1:
-            raise IndexError(f"node {i} out of range")
-        return self._names[i - 1]
 
 
 class TreePair:
@@ -374,9 +360,10 @@ def _fast_scan(text, mode=None, weighted=False):
     order, is the bytes data[start[k]:start[k] + length[k]], and at[k]
     is its node's pre-order index; all three are int32.  weights is as
     _scan's: a chunk of literals of one shape is read by _decimals, any
-    other by _NUMBERS and np.fromstring.  In leaf mode at is None, and
-    unless weighted the weights too: no node index is built, and every
-    literal is checked but not placed.  mode "leaf" gives up on an
+    other by _NUMBERS and np.fromstring.  In leaf mode at is None.  The
+    weights are None unless weighted or mode is None: every literal is
+    checked, but only kept weights are placed, and in leaf mode
+    unweighted no node index is built.  mode "leaf" gives up on an
     internal label and "full" on an unlabelled node; weighted gives up
     on a text with no weight.  Repeated labels are the caller's to find."""
     if not text.isascii() and _WIDE_SPACE.search(text):
@@ -462,12 +449,12 @@ def _fast_scan(text, mode=None, weighted=False):
         cb[oc[1::2]] = cb[oc[0::2]]
         cur[sel] = cb
         del cb, oc
-        # no target is a source: a ')' is no label, no ':' follows a ':'
-        for i in internal.nonzero()[0], colon.nonzero()[0]:
-            cur[i] = cur[i - 1]
+        i = internal.nonzero()[0]
+        cur[i] = cur[i - 1]  # no target is a source: a ')' is no label
         at = None if mode == "leaf" else _pick(cur, is_lab)
-        w_at = _pick(cur, colon)
-        del cur
+        if weighted or mode is None:  # no text starts with a ':'
+            w_at = _pick(cur[:-1], colon[1:])
+        del cur, i
 
     # every node writes its opening bit, then its closing bit; a '(' writes
     # only the first and a ')' only the second, 2 marks the bit not written
@@ -685,8 +672,8 @@ def _fast_pair(text1, text2, mode, weighted):
     longer labels, whose keys are hashes, are checked for equal length
     and then byte for byte, a chunk of tree 2's long labels at a time.
     While tree 2 is read, tree 1 holds its bits, its bytes, its label
-    spans, its sorted keys with their order, its weights unless read in
-    leaf mode unweighted, and in full mode only its labels' nodes."""
+    spans, its sorted keys with their order, its weights if weighted,
+    and in full mode only its labels' nodes."""
     scan = _fast_scan(text1, mode, weighted)
     if scan is None:
         return None
@@ -732,8 +719,6 @@ def _fast_pair(text1, text2, mode, weighted):
     else:
         ranks = np.zeros(len(bits1) // 2, np.int32)
         ranks[at1[into] - 1] = at2
-    if not weighted:
-        w1 = w2 = None
     return bits1, bits2, ranks, w1, w2
 
 
@@ -788,10 +773,12 @@ def _checked_pair(text1, text2, mode, weighted):
 
 
 def parse_tree(text: str):
-    """Parse a single tree: (BpTree, LabelTable, weight array or None).
+    """Parse a single tree: (BpTree, names, weight array or None).
 
-    Mode constraints do not apply to a standalone tree; internal labels
-    are kept when present, and weights whenever the text has one.
+    names is a tuple with slot i-1 holding node i's label, or None, as
+    the weights hold node i's weight.  Mode constraints do not apply to
+    a standalone tree; internal labels are kept when present, and
+    weights whenever the text has one.
     """
     scan = _fast_scan(text)
     if scan is not None:
@@ -808,12 +795,14 @@ def parse_tree(text: str):
     names = [None] * (len(bits) // 2)
     for name, i in zip(labels, at):
         names[i - 1] = name
-    return BpTree(bits), LabelTable(names), w
+    return BpTree(bits), tuple(names), w
 
 
-def write_newick(tree: BpTree, labels: LabelTable, weights=None) -> str:
+def write_newick(tree: BpTree, names, weights=None) -> str:
     """Canonical newick text: stored child order, labels verbatim, weights
-    in shortest round-trip decimal form, none on the root."""
+    in shortest round-trip decimal form, none on the root.  names and
+    weights hold node i's label and weight in slot i-1, as parse_tree
+    gives them."""
     bits = tree.to01().tolist()
     wlist = None if weights is None else (
         weights.tolist() if hasattr(weights, "tolist") else list(weights))
@@ -833,7 +822,7 @@ def write_newick(tree: BpTree, labels: LabelTable, weights=None) -> str:
             v = stack.pop()
             if not prev:
                 out.append(")")
-            out.append(labels.name_of(v) or "")
+            out.append(names[v - 1] or "")
             if wlist is not None and v != 1:
                 out.append(f":{wlist[v - 1]!r}")
         prev = b

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bp import BpTree, subtree_sizes
-from .newick import _LABEL, LabelTable, TreePair
+from .newick import _LABEL, TreePair
 
 MAGIC = b"SBPT"
 VERSION = 2
@@ -92,11 +92,14 @@ def _check_writable(bits, names, w):
             raise PackError(f"weight of node {bad[0] + 1} is not finite")
 
 
-def pack(tree: BpTree, labels: LabelTable, weights=None) -> bytes:
+def pack(tree: BpTree, names, weights=None) -> bytes:
     """Canonical bytes for one tree; deterministic for identical inputs.
-    PackError for a tree that unpack would reject."""
+    names and weights hold node i's name and weight in slot i-1, as
+    parse_tree gives them; ValueError when either has not one slot per
+    node, PackError for a tree that unpack would reject."""
     n = tree.n_nodes
-    names = [labels.name_of(i) for i in range(1, n + 1)]
+    if len(names) != n:
+        raise ValueError(f"names must have length {n}")
     w = None
     if weights is not None:
         w = np.asarray(weights, dtype="<f8")
@@ -120,7 +123,7 @@ def pack(tree: BpTree, labels: LabelTable, weights=None) -> bytes:
 
 
 def unpack(data: bytes):
-    """Exact inverse of pack: (BpTree, LabelTable, weights or None)."""
+    """Exact inverse of pack: (BpTree, names tuple, weights or None)."""
     r = _Reader(data)
     if bytes(r.take(4, "header")) != MAGIC:
         raise PackError("bad magic")
@@ -163,7 +166,7 @@ def unpack(data: bytes):
     if r.pos != len(data):
         raise PackError("trailing bytes after payload")
     _check_writable(bits, names, w)
-    return tree, LabelTable(names), w
+    return tree, tuple(names), w
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 from bprf.baseline import day_rf, naive_metric, parse_plain
 from bprf.cli import generate_pair_texts, generate_tree_text
-from bprf.distance import compute, erf, rf_nextsibling, rf_postorder, werf, wrf
+from bprf.distance import compute
 from bprf.newick import parse_pair, parse_tree
 from bprf.treeio import pack, size_report, unpack
 
@@ -48,7 +48,7 @@ def test_criterion_1_fixture_walkthrough():
         t0 = time.perf_counter()
 
         pair23 = parse_pair(T2, T3, mode="full")
-        assert erf(pair23).raw == 2
+        assert compute(pair23, "erf").raw == 2
 
         pair45 = parse_pair(T4, T5)
         code = code_map(pair45).tolist()
@@ -85,23 +85,14 @@ def test_criterion_2_oracle_equivalence():
                                                    full, weighted)
                         mode = "full" if full else "leaf"
                         pair = parse_pair(a, b, mode=mode, weighted=weighted)
-                        if not full and not weighted:
-                            got = rf_postorder(pair).raw
-                            assert got == rf_nextsibling(pair).raw
+                        metric = ("w" if weighted else "") + (
+                            "erf" if full else "rf")
+                        got = compute(pair, metric).raw
+                        assert got == compute(pair, metric,
+                                              "nextsibling").raw
+                        assert got == naive_metric(a, b, metric)
+                        if metric == "rf":
                             assert got == day_rf(a, b).raw
-                            assert got == naive_metric(a, b, "rf")
-                        elif not full:
-                            got = wrf(pair).raw
-                            assert got == naive_metric(a, b, "wrf")
-                            assert got == wrf(pair, impl="nextsibling").raw
-                        elif not weighted:
-                            got = erf(pair).raw
-                            assert got == erf(pair, impl="nextsibling").raw
-                            assert got == naive_metric(a, b, "erf")
-                        else:
-                            got = werf(pair).raw
-                            assert got == naive_metric(a, b, "werf")
-                            assert got == werf(pair, impl="nextsibling").raw
                     cfg_index += 1
         assert cfg_index == 8
         assert time.perf_counter() - t0 < 60.0
@@ -138,9 +129,9 @@ def test_criterion_3_metric_properties():
             n = rng.randint(4, 128)
             x, y, z = (generate_tree_text(n, 6000 + 3 * i + k)
                        for k in range(3))
-            dxy = rf_postorder(parse_pair(x, y)).raw
-            dyz = rf_postorder(parse_pair(y, z)).raw
-            dxz = rf_postorder(parse_pair(x, z)).raw
+            dxy = compute(parse_pair(x, y), "rf").raw
+            dyz = compute(parse_pair(y, z), "rf").raw
+            dxz = compute(parse_pair(x, z), "rf").raw
             assert dxz <= dxy + dyz
 
 
@@ -271,7 +262,7 @@ def _leaf_op_counts(a, b):
 
     # tree 1 is read as a stream and makes no query; tree 2 is asked one
     # lca per candidate, and nothing else: no leaf is counted
-    po = rf_postorder(pair).ops
+    po = compute(pair, "rf").ops
     assert po.post_order_select == 0
     assert po.next_sibling == 0
     assert po.cluster_size == 0
@@ -282,9 +273,9 @@ def _leaf_op_counts(a, b):
 
     # both names run the one sweep, and weight folding changes no
     # traversal decisions
-    assert rf_nextsibling(pair).ops == po
-    assert wrf(pair).ops == po
-    assert wrf(pair, impl="nextsibling").ops == po
+    assert compute(pair, "rf", "nextsibling").ops == po
+    assert compute(pair, "wrf").ops == po
+    assert compute(pair, "wrf", "nextsibling").ops == po
     return c
 
 
@@ -296,18 +287,18 @@ def _full_op_counts(a, b):
 
     # a candidate's lowest rank is its only possible match: one size probe
     # per candidate and no lca
-    epo = erf(pair).ops
+    epo = compute(pair, "erf").ops
     assert epo.post_order_select == 0
     assert epo.next_sibling == 0
     assert epo.lca == 0
     assert epo.num_leaves == 0
     assert epo.cluster_size == c
     assert epo.total() == c
-    assert erf(pair, impl="nextsibling").ops == epo
+    assert compute(pair, "erf", "nextsibling").ops == epo
 
     # the leaf singletons are tested over the code map, with no call
-    assert werf(pair).ops == epo
-    assert werf(pair, impl="nextsibling").ops == epo
+    assert compute(pair, "werf").ops == epo
+    assert compute(pair, "werf", "nextsibling").ops == epo
     return c
 
 

@@ -272,7 +272,7 @@ def test_gen_parses_back(nwk):
         text = generate_tree_text(30, seed, full=True, weights=True)
         tree, labels, w = parse_tree(text)
         assert leaves_under(tree) == 30
-        assert all(labels.name_of(i) for i in range(1, tree.n_nodes + 1))
+        assert len(labels) == tree.n_nodes and all(labels)
         assert w is not None
 
 
@@ -327,6 +327,18 @@ def test_subcommands_match_readme():
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     words = set(re.findall(r"\bbprf (\w+)", section))
     assert words and words <= set(sub.choices), words
+
+
+def test_public_api_pinned():
+    # one entry point per job: a name added to or dropped from the
+    # package's surface shows here
+    assert sorted(bprf.__all__) == [
+        "BpTree", "DistanceResult", "LabelMismatchError", "ModeError",
+        "OpCounts", "PackError", "ParseError", "SizeReport", "TreePair",
+        "compute", "day_rf", "naive_metric", "pack", "parse_pair",
+        "parse_tree", "size_report", "unpack", "write_newick"]
+    for name in bprf.__all__:
+        assert getattr(bprf, name) is not None
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bprf.baseline import day_rf, naive_clusters, naive_metric, parse_plain
 from bprf import distance
 from bprf.cli import generate_pair_texts
-from bprf.distance import compute, erf, rf_nextsibling, rf_postorder, werf, wrf
+from bprf.distance import compute
 from bprf.newick import ModeError, parse_pair
 
 from conftest import (caterpillar_texts, leafset, leaves_under, pair_texts,
@@ -25,30 +25,29 @@ T3 = "((B,(D,C)F)G,(A,E)H)I;"
 
 def test_rf_frozen():
     pair = parse_pair(T4, T5)
-    for fn in (rf_postorder, rf_nextsibling):
-        r = fn(pair)
+    for impl in ("postorder", "nextsibling"):
+        r = compute(pair, "rf", impl)
         assert r.raw == 2
         assert r.halved == 1
         assert r.equal_clusters == 3
         assert r.metric == "rf"
-    assert rf_postorder(pair).algorithm == "postorder"
-    assert rf_nextsibling(pair).algorithm == "nextsibling"
+        assert r.algorithm == impl
 
 
 def test_rf_capture_frozen():
     pair = parse_pair(T4, T5)
-    r = rf_postorder(pair, capture=True)
+    r = compute(pair, "rf", capture=True)
     # {A,B,C} -> tree-2 node 6, {D,E,F} -> node 2, root -> root,
     # reported in tree-1 post-order
     assert r.common == ((2, 6), (7, 2), (1, 1))
-    assert rf_nextsibling(pair, capture=True).common == r.common
+    assert compute(pair, "rf", "nextsibling", capture=True).common == r.common
     assert len(r.common) == r.equal_clusters
-    assert rf_postorder(pair).common is None
+    assert compute(pair, "rf").common is None
 
 
 def test_rf_small_caterpillar_vs_balanced():
     pair = parse_pair("(((A,B),C),D);", "((A,B),(C,D));")
-    r = rf_postorder(pair)
+    r = compute(pair, "rf")
     assert r.raw == 2
     assert r.halved == 1
 
@@ -56,7 +55,7 @@ def test_rf_small_caterpillar_vs_balanced():
 def test_erf_frozen():
     pair = parse_pair(T2, T3, mode="full")
     for impl in ("postorder", "nextsibling"):
-        r = erf(pair, impl=impl)
+        r = compute(pair, "erf", impl)
         assert r.raw == 2
         assert r.halved == 1
         assert r.algorithm == impl
@@ -68,10 +67,9 @@ def test_wrf_frozen():
     w2 = "((A:1,C:2):3,B:4);"
     pair = parse_pair(w1, w2, weighted=True)
     for impl in ("postorder", "nextsibling"):
-        r = wrf(pair, impl=impl)
+        r = compute(pair, "wrf", impl)
         assert r.raw == pytest.approx(10.0, abs=1e-12)
         assert r.halved is None
-        assert r.value == r.raw
     assert naive_metric(w1, w2, "wrf") == 10.0
 
 
@@ -81,43 +79,44 @@ def test_werf_frozen():
     u3b = "((B:1,(D:1,C:1)F:2)G:1,(A:1,E:1)H:1)I;"
     p1 = parse_pair(u2, u3, mode="full", weighted=True)
     p2 = parse_pair(u2, u3b, mode="full", weighted=True)
-    assert werf(p1).raw == pytest.approx(2.0, abs=1e-12)
-    assert werf(p2).raw == pytest.approx(3.0, abs=1e-12)
-    assert werf(p1, impl="nextsibling").raw == pytest.approx(2.0, abs=1e-12)
+    assert compute(p1, "werf").raw == pytest.approx(2.0, abs=1e-12)
+    assert compute(p2, "werf").raw == pytest.approx(3.0, abs=1e-12)
+    assert compute(p1, "werf", "nextsibling").raw == pytest.approx(
+        2.0, abs=1e-12)
 
 
 def test_wrf_leaf_perturbation():
     a = "((A:0.5,B:0.25):0.125,C:1);"
     b = "((A:0.5,B:0.25):0.125,C:1.0625);"
     pair = parse_pair(a, b, weighted=True)
-    assert wrf(pair).raw == pytest.approx(0.0625, abs=1e-15)
+    assert compute(pair, "wrf").raw == pytest.approx(0.0625, abs=1e-15)
 
 
 def test_identity_all_metrics():
     pair = parse_pair(T4, T4)
-    assert rf_postorder(pair).raw == 0
-    assert rf_nextsibling(pair).raw == 0
-    assert rf_postorder(pair).equal_clusters == 4
+    assert compute(pair, "rf").raw == 0
+    assert compute(pair, "rf", "nextsibling").raw == 0
+    assert compute(pair, "rf").equal_clusters == 4
 
     pe = parse_pair(T2, T2, mode="full")
-    assert erf(pe).raw == 0
+    assert compute(pe, "erf").raw == 0
 
     wt = "((A:1,B:2):3,C:4);"
     pw = parse_pair(wt, wt, weighted=True)
-    assert wrf(pw).raw == pytest.approx(0.0, abs=1e-12)
+    assert compute(pw, "wrf").raw == pytest.approx(0.0, abs=1e-12)
 
     ue = "(((B:1,C:2)F:3,D:4)G:5,(A:6,E:7)H:8)I;"
     pu = parse_pair(ue, ue, mode="full", weighted=True)
-    assert werf(pu).raw == pytest.approx(0.0, abs=1e-12)
+    assert compute(pu, "werf").raw == pytest.approx(0.0, abs=1e-12)
 
 
 def test_single_leaf_pair():
     pair = parse_pair("A;", "A;")
-    assert rf_postorder(pair).raw == 0
-    assert rf_nextsibling(pair).raw == 0
+    assert compute(pair, "rf").raw == 0
+    assert compute(pair, "rf", "nextsibling").raw == 0
     # a root weight is syntax enough to parse weighted, then discarded
     pw = parse_pair("A:0;", "A:0;", weighted=True)
-    assert wrf(pw).raw == pytest.approx(0.0)
+    assert compute(pw, "wrf").raw == pytest.approx(0.0)
 
 
 def test_both_names_run_one_sweep():
@@ -163,8 +162,8 @@ def test_signed_weights_regression():
     b = "((A:1,C:1):1,B:1);"
     for x, y in ((a, b), (b, a)):
         pair = parse_pair(x, y, weighted=True)
-        assert wrf(pair).raw == 3.0
-        assert wrf(pair, impl="nextsibling").raw == 3.0
+        assert compute(pair, "wrf").raw == 3.0
+        assert compute(pair, "wrf", "nextsibling").raw == 3.0
         assert naive_metric(x, y, "wrf") == 3.0
 
 
@@ -175,15 +174,15 @@ def test_weights_near_float_max():
     b = "((A:1,B:1):1e308,(C:1,D:1):1.5e308);"
     fa = "((A:1,B:1)X:1e308,(C:1,D:1)Y:1e308)R;"
     for impl in ("postorder", "nextsibling"):
-        assert wrf(parse_pair(a, a, weighted=True), impl=impl).raw == 0.0
+        assert compute(parse_pair(a, a, weighted=True), "wrf", impl).raw == 0.0
         full = parse_pair(fa, fa, mode="full", weighted=True)
-        assert werf(full, impl=impl).raw == 0.0
+        assert compute(full, "werf", impl).raw == 0.0
         for x, y in ((a, b), (b, a)):
-            assert wrf(parse_pair(x, y, weighted=True), impl=impl).raw \
+            assert compute(parse_pair(x, y, weighted=True), "wrf", impl).raw \
                 == 5e307 == naive_metric(x, y, "wrf")
     # the result itself past the float range: {A,B} and {C,D} unmatched
     c = "((A:1,C:1):1e308,(B:1,D:1):1e308);"
-    assert wrf(parse_pair(a, c, weighted=True)).raw == float("inf")
+    assert compute(parse_pair(a, c, weighted=True), "wrf").raw == float("inf")
 
 
 def test_weighted_sum_same_in_small_chunks(monkeypatch):
@@ -300,15 +299,15 @@ def test_mode_errors():
     leaf_pair = parse_pair(T4, T5)
     full_pair = parse_pair(T2, T3, mode="full")
     with pytest.raises(ModeError):
-        rf_postorder(full_pair)
+        compute(full_pair, "rf")
     with pytest.raises(ModeError):
-        erf(leaf_pair)
+        compute(leaf_pair, "erf")
     with pytest.raises(ModeError):
-        wrf(leaf_pair)  # parsed without weights
+        compute(leaf_pair, "wrf")  # parsed without weights
     with pytest.raises(ModeError):
-        werf(full_pair)
+        compute(full_pair, "werf")
     with pytest.raises(ValueError):
-        erf(parse_pair(T2, T3, mode="full"), impl="recursive")
+        compute(parse_pair(T2, T3, mode="full"), "erf", "recursive")
     for run in (lambda: compute(leaf_pair, "hamming"),
                 lambda: naive_metric(T4, T5, "hamming")):
         with pytest.raises(ValueError, match="unknown metric 'hamming'"):
@@ -318,8 +317,8 @@ def test_mode_errors():
 def test_deep_caterpillar_all_drivers():
     a, b = caterpillar_texts(500)
     pair = parse_pair(a, b)
-    r1 = rf_postorder(pair)
-    r2 = rf_nextsibling(pair)
+    r1 = compute(pair, "rf")
+    r2 = compute(pair, "rf", "nextsibling")
     r3 = day_rf(a, b)
     assert r1.raw == r2.raw == r3.raw
     assert r1.raw == naive_metric(a, b, "rf")
@@ -373,8 +372,8 @@ def test_rf_oracle_agreement(seed, n_leaves, arity):
     a, b = _rng_pair(seed, n_leaves, arity)
     pair = parse_pair(a, b)
     want = naive_metric(a, b, "rf")
-    assert rf_postorder(pair).raw == want
-    assert rf_nextsibling(pair).raw == want
+    assert compute(pair, "rf").raw == want
+    assert compute(pair, "rf", "nextsibling").raw == want
     assert day_rf(a, b).raw == want
 
 
@@ -385,8 +384,8 @@ def test_erf_oracle_agreement(seed, n_leaves, arity, crossed):
     a, b = _rng_pair(seed, n_leaves, arity, full=True, crossed=crossed)
     pair = parse_pair(a, b, mode="full")
     want = naive_metric(a, b, "erf")
-    assert erf(pair).raw == want
-    assert erf(pair, impl="nextsibling").raw == want
+    assert compute(pair, "erf").raw == want
+    assert compute(pair, "erf", "nextsibling").raw == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -411,8 +410,8 @@ def test_symmetry_and_parity(seed, n_leaves, arity):
     a, b = _rng_pair(seed, n_leaves, arity)
     fwd = parse_pair(a, b)
     rev = parse_pair(b, a)
-    r = rf_postorder(fwd)
-    assert r.raw == rf_postorder(rev).raw
+    r = compute(fwd, "rf")
+    assert r.raw == compute(rev, "rf").raw
 
     i1 = fwd.t1.n_nodes - leaves_under(fwd.t1)
     i2 = fwd.t2.n_nodes - leaves_under(fwd.t2)
@@ -427,7 +426,7 @@ def test_weighted_symmetry(seed, n_leaves):
     a, b = _rng_pair(seed, n_leaves, "mixed", weights=True)
     fwd = parse_pair(a, b, weighted=True)
     rev = parse_pair(b, a, weighted=True)
-    assert wrf(fwd).raw == wrf(rev).raw
+    assert compute(fwd, "wrf").raw == compute(rev, "wrf").raw
 
 
 @settings(max_examples=25, deadline=None)
@@ -436,9 +435,9 @@ def test_weighted_symmetry(seed, n_leaves):
 def test_capture_is_sound(seed, n_leaves, arity):
     a, b = _rng_pair(seed, n_leaves, arity)
     pair = parse_pair(a, b)
-    r = rf_postorder(pair, capture=True)
+    r = compute(pair, "rf", capture=True)
     assert len(r.common) == r.equal_clusters
-    assert rf_nextsibling(pair, capture=True).common == r.common
+    assert compute(pair, "rf", "nextsibling", capture=True).common == r.common
 
     nodes1 = preorder(parse_plain(a))
     nodes2 = preorder(parse_plain(b))
@@ -457,9 +456,9 @@ def test_rf_triangle(seed, n_leaves):
         assign_labels(root, rng)
         texts.append(to_newick(root))
     a, b, c = texts
-    ab = rf_postorder(parse_pair(a, b)).raw
-    bc = rf_postorder(parse_pair(b, c)).raw
-    ac = rf_postorder(parse_pair(a, c)).raw
+    ab = compute(parse_pair(a, b), "rf").raw
+    bc = compute(parse_pair(b, c), "rf").raw
+    ac = compute(parse_pair(a, c), "rf").raw
     assert ac <= ab + bc
 
 
@@ -480,8 +479,8 @@ def test_wrf_unit_internal_weights_equals_raw_rf(seed, n_leaves):
         roots.append(root)
     a = to_newick(roots[0], weights=True)
     b = to_newick(roots[1], weights=True)
-    raw = rf_postorder(parse_pair(a, b)).raw
-    value = wrf(parse_pair(a, b, weighted=True)).raw
+    raw = compute(parse_pair(a, b), "rf").raw
+    value = compute(parse_pair(a, b, weighted=True), "wrf").raw
     assert value == raw
 
 
@@ -677,12 +676,13 @@ def test_werf_leaf_image_not_a_leaf():
     # unshared singletons {B} and {R} make erf 2
     a, b = "(A:1,B:2)R;", "(A:1,R:3)B;"
     for x, y in ((a, b), (b, a)):
-        r = werf(parse_pair(x, y, mode="full", weighted=True), capture=True)
+        r = compute(parse_pair(x, y, mode="full", weighted=True), "werf",
+                    capture=True)
         assert r.raw == 5.0 == naive_metric(x, y, "werf")
         assert r.common == ((1, 1),)
         assert r.ops.cluster_size == 1
         for impl in ("postorder", "nextsibling"):
-            assert erf(parse_pair(x, y, mode="full"), impl).raw == 2
+            assert compute(parse_pair(x, y, mode="full"), "erf", impl).raw == 2
         assert naive_metric(x, y, "erf") == 2
     # C and X trade places: {C}, {X}, {A,B,X}, {A,B,C} are unshared, and
     # C's weights 2 and 3 belong to different clusters
@@ -690,7 +690,7 @@ def test_werf_leaf_image_not_a_leaf():
     for x, y in ((a, b), (b, a)):
         pair = parse_pair(x, y, mode="full", weighted=True)
         for impl in ("postorder", "nextsibling"):
-            assert erf(pair, impl).raw == 4
-            assert werf(pair, impl).raw == 11.0
+            assert compute(pair, "erf", impl).raw == 4
+            assert compute(pair, "werf", impl).raw == 11.0
         assert naive_metric(x, y, "erf") == 4
         assert naive_metric(x, y, "werf") == 11.0

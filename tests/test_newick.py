@@ -50,18 +50,8 @@ def test_bit_encoding():
 def test_labels_by_preorder_index():
     tree, labels, w = parse_tree(T4)
     assert w is None
-    assert labels.name_of(1) is None
-    assert labels.name_of(4) == "A"
-    assert labels.name_of(6) == "C"
-    assert labels.name_of(10) == "F"
-
-
-def test_name_of_out_of_range():
-    # a negative list index would read from the end
-    labels = parse_tree(T4)[1]
-    for i in (0, -1, 11):
-        with pytest.raises(IndexError):
-            labels.name_of(i)
+    # slot i-1 holds node i's name, as the weights hold its weight
+    assert labels == (None, None, None, "A", "B", "C", None, "D", "E", "F")
 
 
 def test_code_map_frozen():
@@ -82,7 +72,7 @@ def test_code_map_full_mode():
     labels1, labels2 = parse_tree(T2)[1], parse_tree(T3)[1]
     for i in range(1, pair.n + 1):
         j = int(code[i - 1])
-        assert labels2.name_of(j) == labels1.name_of(i)
+        assert labels2[j - 1] == labels1[i - 1]
 
 
 def test_weights_and_sum():
@@ -353,12 +343,12 @@ def test_leaf_join_random(seed, n_leaves):
     nonzero = 0
     for i in range(1, pair.n + 1):
         j = int(code[i - 1])
-        name = labels1.name_of(i)
+        name = labels1[i - 1]
         if name is None:
             assert j == 0
         else:
             nonzero += 1
-            assert labels2.name_of(j) == name
+            assert labels2[j - 1] == name
     assert nonzero == n_leaves
 
 
@@ -374,7 +364,7 @@ def test_leaf_ranks_random(seed, n_leaves):
         root = random_topology(rng, n_leaves, arity)
         assign_labels(root, rng)
         texts.append(to_newick(root))
-    names1, names2 = ([name for name in parse_tree(t)[1]._names if name]
+    names1, names2 = ([name for name in parse_tree(t)[1] if name]
                       for t in texts)
     spaced = texts[0].replace(";", "\u2003;")
     assert newick._fast_scan(spaced) is None
@@ -455,7 +445,7 @@ def _outcome(parse, *args, **kw):
                 r.ranks.dtype.str, r.ranks.tobytes(), r.rank_width,
                 r.rank_bytes.tobytes(), r.nbytes, w(r.w1), w(r.w2), r.mode)
     tree, labels, weights = r
-    return tree.to01().tobytes(), tuple(labels._names), w(weights)
+    return tree.to01().tobytes(), labels, w(weights)
 
 
 def _both_passes(parse, *args, **kw):
@@ -570,8 +560,10 @@ def test_fast_path_taken(full, weights):
             assert newick._fast_scan(t) is not None
             scan = newick._fast_scan(t, mode, weighted)
             assert scan is not None
+            if not weighted:  # weights read unweighted are not placed
+                assert scan[5] is None
             if not (full or weighted):  # no node index: nothing placed
-                assert scan[4] is None and scan[5] is None
+                assert scan[4] is None
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(newick, "_scan", None)  # any fallback fails
                 parse_pair(u, v, mode, weighted)
@@ -581,7 +573,7 @@ def test_fast_path_taken(full, weights):
         assert fast == slow
     fast, slow = _both_passes(parse_tree, wide[0])
     assert fast == slow
-    assert "Lé1" in parse_tree(wide[0])[1]._names
+    assert "Lé1" in parse_tree(wide[0])[1]
 
 
 @pytest.mark.parametrize("text", [

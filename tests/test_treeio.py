@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bprf.bp import BpTree
 from bprf.cli import generate_pair_texts, generate_tree_text
-from bprf.newick import LabelTable, TreePair, parse_pair, parse_tree, \
-    write_newick
+from bprf.newick import TreePair, parse_pair, parse_tree, write_newick
 from bprf.treeio import PackError, SizeReport, pack, size_report, unpack
 
 from conftest import assign_labels, random_topology, to_newick
@@ -43,8 +42,7 @@ def test_roundtrip_t4():
     t2, l2, w2 = unpack(pack(tree, labels))
     assert t2.to01().tolist() == tree.to01().tolist()
     assert w2 is None
-    for i in range(1, 11):
-        assert l2.name_of(i) == labels.name_of(i)
+    assert l2 == labels
     assert write_newick(t2, l2) == T4
 
 
@@ -61,21 +59,24 @@ def test_unlabelled_tree_packs():
     # refuses what unpack would
     tree = BpTree(np.array([1, 1, 0, 1, 0, 0], dtype=np.uint8))
     with pytest.raises(PackError, match="leaf 2 has no label"):
-        pack(tree, LabelTable([None, None, None]))
+        pack(tree, [None, None, None])
 
 
 def test_pack_rejects_what_unpack_rejects():
     # "((A),B);": node 2 has the single child A
     tree = BpTree(np.array([1, 1, 1, 0, 0, 1, 0, 0], dtype=np.uint8))
     with pytest.raises(PackError, match="node 2 has a single child"):
-        pack(tree, LabelTable([None, None, "A", "B"]))
+        pack(tree, [None, None, "A", "B"])
     tree, labels, w = parse_tree("((A:1,B:2):3,C:4);")
     with pytest.raises(PackError, match="label 'A' repeated on node 4"):
-        pack(tree, LabelTable([None, None, "A", "A", "C"]))
+        pack(tree, [None, None, "A", "A", "C"])
     bad = w.copy()
     bad[1] = float("nan")
     with pytest.raises(PackError, match="weight of node 2 is not finite"):
         pack(tree, labels, bad)
+    for names in labels[:-1], labels + (None,):
+        with pytest.raises(ValueError, match="names must have length 5"):
+            pack(tree, names, w)
 
 
 def test_pack_deterministic():
@@ -242,7 +243,7 @@ def test_unpack_rejects_bad_label_block():
                         ([None, None, "A", "B", None], "leaf 5 has no label"),
                         (["R", "X", None, None, "C"], "leaf 3 has no label")):
         with pytest.raises(PackError, match=what):
-            unpack(pack(tree, LabelTable(names)))
+            unpack(pack(tree, names))
         with pytest.raises(PackError, match=what):
             unpack(_v2("1110100100", names))
 
